@@ -606,8 +606,8 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 	// 4. Meeting-time tables (gossip of all known tables, delta by
 	// freshness).
 	for _, dir := range []struct{ from, to *State }{{a, b}, {b, a}} {
-		own := dir.from.Meet.OwnTable()
-		if !spendTable(dir.from, dir.to, dir.from.self, own, now, spend, &res) {
+		ownEntries, _ := dir.from.Meet.TableLen(dir.from.self)
+		if !spendTable(dir.from, dir.to, dir.from.self, ownEntries, now, spend, &res) {
 			return finishExchange(a, b, now, res)
 		}
 		for _, owner := range dir.from.tableOwners {
@@ -618,11 +618,11 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 			if asOf <= dir.to.tableAsOfFor(owner) {
 				continue
 			}
-			t := dir.from.Meet.TableOf(owner)
-			if t == nil {
+			entries, ok := dir.from.Meet.TableLen(owner)
+			if !ok {
 				continue
 			}
-			if !spendTable(dir.from, dir.to, owner, t, asOf, spend, &res) {
+			if !spendTable(dir.from, dir.to, owner, entries, asOf, spend, &res) {
 				return finishExchange(a, b, now, res)
 			}
 		}
@@ -669,13 +669,11 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 	return finishExchange(a, b, now, res)
 }
 
-// spendTable transmits one meeting table from `from` to `to`, charging
-// its wire size against the exchange budget. The merge itself runs
-// estimator-to-estimator (MergeTableFrom), which diffs the sorted row
-// mirrors instead of hashing through the map — the map form `t` is
-// passed only to price the wire cost.
-func spendTable(from, to *State, owner packet.NodeID, t meet.Table, asOf float64, spend func(int64) bool, res *Result) bool {
-	cost := TableHeaderBytes + int64(len(t))*MeetEntryBytes
+// spendTable transmits one meeting table of the given entry count from
+// `from` to `to`, charging its wire size against the exchange budget.
+// The merge itself runs estimator-to-estimator (MergeTableFrom).
+func spendTable(from, to *State, owner packet.NodeID, entries int, asOf float64, spend func(int64) bool, res *Result) bool {
+	cost := TableHeaderBytes + int64(entries)*MeetEntryBytes
 	if !spend(cost) {
 		return false
 	}

@@ -8,7 +8,7 @@
 //     streams).
 //   - maporder: no float accumulation, escaping unsorted appends, or
 //     I/O driven by Go's randomized map iteration order — the bug
-//     class the sorted row-mirror merge of DESIGN.md §11 exists to
+//     class the sorted-row merge of DESIGN.md §11 exists to
 //     kill.
 //   - shardcommit: ExecuteShard bodies (and everything they reach
 //     inside the package) stay off metrics.Collector, off the engine's

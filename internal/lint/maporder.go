@@ -16,7 +16,7 @@ import (
 //
 //  1. accumulating floats declared outside the loop (FP addition is
 //     not associative, so the sum depends on visit order — the exact
-//     bug class the sorted row-mirror table merge of DESIGN.md §11
+//     bug class the sorted-row table merge of DESIGN.md §11
 //     was built to kill);
 //  2. appending to a slice declared outside the loop with no
 //     subsequent sort.*/slices.Sort* call on that slice later in the

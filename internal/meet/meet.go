@@ -8,8 +8,9 @@
 package meet
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"rapid/internal/packet"
 	"rapid/internal/stat"
@@ -20,27 +21,17 @@ import (
 const DefaultHops = 3
 
 // Table maps a peer to the expected direct inter-meeting time in
-// seconds.
+// seconds. It is the literal form MergeTable accepts; the estimator
+// itself stores tables as sorted rows.
 type Table map[packet.NodeID]float64
-
-// Clone returns a copy of the table.
-func (t Table) Clone() Table {
-	c := make(Table, len(t))
-	for k, v := range t {
-		c[k] = v
-	}
-	return c
-}
 
 // Estimator is one node's view of the network's meeting behaviour. It is
 // not safe for concurrent use.
 //
 // All per-node state is laid out struct-of-arrays style, indexed by the
 // dense node ID space of a run (scenario generators hand out IDs
-// 0..N-1): at mega-constellation populations the former map-keyed
-// layout spent most of the hot path hashing NodeIDs and chasing map
-// buckets. The exported Table type remains a map so the control-channel
-// wire format and the figures stay byte-identical.
+// 0..N-1): at mega-constellation populations a map-keyed layout spends
+// most of the hot path hashing NodeIDs and chasing map buckets.
 type Estimator struct {
 	self packet.NodeID
 	hops int
@@ -55,56 +46,46 @@ type Estimator struct {
 	// finite, if rough, estimate that later observations refine.
 	lastSeen []float64
 
-	// tables is the merged matrix: every node's direct table as learned
-	// via the control channel, indexed by owner ID (nil = unknown).
-	// tables[self] mirrors direct. Rows stay sparse maps — a row only
-	// holds the owner's direct peers, and densifying it would cost
-	// O(N²) per estimator.
-	tables []Table
-	// rows mirrors tables as slices sorted by peer ID. Gossip re-merges
-	// whole tables on nearly every contact while changing at most a few
-	// entries; diffing two sorted slices (MergeTableFrom) costs a linear
-	// scan with no hashing, where diffing through the map rows spent the
-	// mega-constellation hot path in map iteration and lookups. The map
-	// stays canonical for the exported Table API; every write path
-	// updates both.
+	// rows is the merged matrix: every node's direct table as learned
+	// via the control channel, indexed by owner ID and sorted by peer
+	// ID; rows[self] holds the local averages. Gossip re-merges whole
+	// tables on nearly every contact, so a merge is one linear diff of
+	// two sorted rows (mergeRow), and a pair weight is a binary search.
 	rows [][]halfEdge
-	// tablesGen counts row creations; together with version it keys the
-	// KnownTables cache (merging an empty row installs an owner without
-	// perturbing version).
-	tablesGen uint64
+	// known marks owners whose table has been installed — an empty row
+	// still counts. owners lists them ascending for KnownTables.
+	known  []bool
+	owners []packet.NodeID
 
-	// version invalidates the adjacency cache and shortest-path memo on
-	// any mutation.
+	// version invalidates the shortest-path memo on any mutation.
 	version uint64
 
 	// adj is the merged matrix flattened into slice-indexed adjacency
 	// lists, maintained incrementally as pairs change: estimating over
-	// it is O(h·(V+E)) instead of the O(h·V²) that map-keyed relaxation
-	// cost. Each adj[u] is kept sorted by target ID so membership is a
-	// binary search — the former per-node position maps were the last
-	// map lookups on the merge path.
+	// it is O(h·(V+E)) instead of O(h·V²). Each adj[u] is kept sorted by
+	// target ID.
 	n   int // node universe size: max known ID + 1
 	adj [][]halfEdge
 
-	// memoDist caches per-source distance slices over the current
-	// adjacency; distScratch is the relaxation double-buffer.
-	memoVer     uint64
-	memoDist    [][]float64
+	// memo caches per-source distance rows, each stamped with the
+	// version it was computed at and recomputed in place once stale;
+	// distScratch is the relaxation double-buffer.
+	memo        []memoRow
 	distScratch []float64
-
-	// owners caches KnownTables' sorted owner list (control exchanges
-	// rebuilt and sorted it on every contact).
-	owners     []packet.NodeID
-	ownersVer  uint64
-	ownersGen  uint64
-	ownersFill bool
 }
 
-// halfEdge is one directed arc of the flattened meeting matrix.
+// halfEdge is one directed arc of the flattened meeting matrix, or one
+// entry of an owner's table.
 type halfEdge struct {
 	to packet.NodeID
 	w  float64
+}
+
+// memoRow is one source's h-hop distances as of version ver-1 (ver 0 =
+// never computed).
+type memoRow struct {
+	ver  uint64
+	dist []float64
 }
 
 // New returns an estimator for node self using an h-hop horizon
@@ -125,9 +106,10 @@ func (e *Estimator) Self() packet.NodeID { return e.self }
 func (e *Estimator) Hops() int { return e.hops }
 
 // ObserveMeeting records a meeting with peer at the given time,
-// updating the average inter-meeting gap.
+// updating the average inter-meeting gap. An estimator with a negative
+// self ID has no own table and ignores observations.
 func (e *Estimator) ObserveMeeting(peer packet.NodeID, now float64) {
-	if peer == e.self || peer < 0 {
+	if peer == e.self || peer < 0 || e.self < 0 {
 		return
 	}
 	e.ensureNode(peer)
@@ -138,28 +120,11 @@ func (e *Estimator) ObserveMeeting(peer packet.NodeID, now float64) {
 	}
 	ma.Observe(now - e.lastSeen[peer]) // lastSeen defaults to 0 = epoch start
 	e.lastSeen[peer] = now
-	// Refresh the single changed key of the mirrored self table
-	// (rebuilding the whole table per observation was O(degree) on the
-	// hottest write path).
-	t := e.ownRow()
-	t[peer] = ma.Value()
-	e.rowUpsert(e.self, peer, ma.Value())
-	e.refreshPair(e.self, peer)
+	w := ma.Value()
+	e.markKnown(e.self)
+	e.rows[e.self] = edgeSet(e.rows[e.self], peer, w)
+	e.refreshPair(e.self, peer, w)
 	e.version++
-}
-
-// ownRow returns the self table, creating it on first use.
-func (e *Estimator) ownRow() Table {
-	if e.self < 0 {
-		return Table{}
-	}
-	t := e.tables[e.self]
-	if t == nil {
-		t = Table{}
-		e.tables[e.self] = t
-		e.tablesGen++
-	}
-	return t
 }
 
 // ensureNode grows the dense per-node arrays to cover id.
@@ -172,174 +137,110 @@ func (e *Estimator) ensureNode(id packet.NodeID) {
 		e.adj = append(e.adj, nil)
 		e.direct = append(e.direct, nil)
 		e.lastSeen = append(e.lastSeen, 0)
-		e.tables = append(e.tables, nil)
 		e.rows = append(e.rows, nil)
+		e.known = append(e.known, false)
 	}
 }
 
-// rowUpsert sets the mirror entry owner→peer, keeping rows[owner]
-// sorted by peer ID.
-func (e *Estimator) rowUpsert(owner, peer packet.NodeID, w float64) {
-	lst := e.rows[owner]
-	i := sort.Search(len(lst), func(k int) bool { return lst[k].to >= peer })
-	if i < len(lst) && lst[i].to == peer {
+// markKnown records that owner's table is installed.
+func (e *Estimator) markKnown(owner packet.NodeID) {
+	if e.known[owner] {
+		return
+	}
+	e.known[owner] = true
+	i, _ := slices.BinarySearch(e.owners, owner)
+	e.owners = slices.Insert(e.owners, i, owner)
+}
+
+// edgeFind binary-searches a sorted row for target v, returning the
+// position it occupies or should occupy.
+func edgeFind(lst []halfEdge, v packet.NodeID) (int, bool) {
+	lo, hi := 0, len(lst)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if lst[h].to < v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(lst) && lst[lo].to == v
+}
+
+// edgeSet inserts or updates the entry for v, keeping lst sorted.
+func edgeSet(lst []halfEdge, v packet.NodeID, w float64) []halfEdge {
+	i, ok := edgeFind(lst, v)
+	if ok {
 		lst[i].w = w
-		return
+		return lst
 	}
-	lst = append(lst, halfEdge{})
-	copy(lst[i+1:], lst[i:])
-	lst[i] = halfEdge{to: peer, w: w}
-	e.rows[owner] = lst
+	return slices.Insert(lst, i, halfEdge{to: v, w: w})
 }
 
-// rowDelete removes the mirror entry owner→peer if present.
-func (e *Estimator) rowDelete(owner, peer packet.NodeID) {
-	lst := e.rows[owner]
-	i := sort.Search(len(lst), func(k int) bool { return lst[k].to >= peer })
-	if i >= len(lst) || lst[i].to != peer {
-		return
+// edgeDel removes the entry for v if present.
+func edgeDel(lst []halfEdge, v packet.NodeID) []halfEdge {
+	if i, ok := edgeFind(lst, v); ok {
+		return slices.Delete(lst, i, i+1)
 	}
-	e.rows[owner] = append(lst[:i], lst[i+1:]...)
+	return lst
 }
 
-// refreshPair re-derives the (u, v) edge weight from the two directed
-// table records and patches the adjacency lists in place.
-func (e *Estimator) refreshPair(u, v packet.NodeID) {
+// refreshPair re-derives the (u, v) edge weight — the optimistic min of
+// u's entry for v, passed in as wuv (+Inf when absent), and v's stored
+// entry for u — and patches the adjacency lists in place. Callers pass
+// wuv because inside a merge rows[u] is not yet rewritten; u is
+// already inside the node universe.
+func (e *Estimator) refreshPair(u, v packet.NodeID, wuv float64) {
 	if u == v || u < 0 || v < 0 {
 		return
 	}
-	e.ensureNode(u)
 	e.ensureNode(v)
 	w := math.Inf(1)
-	if t := e.tables[u]; t != nil {
-		if d, ok := t[v]; ok && d < w {
-			w = d
-		}
+	if wuv < w {
+		w = wuv
 	}
-	if t := e.tables[v]; t != nil {
-		if d, ok := t[u]; ok && d < w {
-			w = d
-		}
+	if i, ok := edgeFind(e.rows[v], u); ok && e.rows[v][i].w < w {
+		w = e.rows[v][i].w
 	}
 	if math.IsInf(w, 1) {
-		e.removeArc(u, v)
-		e.removeArc(v, u)
+		e.adj[u] = edgeDel(e.adj[u], v)
+		e.adj[v] = edgeDel(e.adj[v], u)
 		return
 	}
-	e.setArc(u, v, w)
-	e.setArc(v, u, w)
+	e.adj[u] = edgeSet(e.adj[u], v, w)
+	e.adj[v] = edgeSet(e.adj[v], u, w)
 }
 
-// arcPos binary-searches adj[u] for target v, returning the position it
-// occupies or should occupy.
-func (e *Estimator) arcPos(u, v packet.NodeID) int {
-	lst := e.adj[u]
-	return sort.Search(len(lst), func(i int) bool { return lst[i].to >= v })
-}
-
-// setArc inserts or updates the directed arc u→v, keeping adj[u] sorted
-// by target.
-func (e *Estimator) setArc(u, v packet.NodeID, w float64) {
-	i := e.arcPos(u, v)
-	lst := e.adj[u]
-	if i < len(lst) && lst[i].to == v {
-		lst[i].w = w
-		return
+// TableLen reports the entry count of owner's stored table and whether
+// that table is known at all — what the control channel needs to price
+// a table on the wire.
+func (e *Estimator) TableLen(owner packet.NodeID) (int, bool) {
+	if owner < 0 || int(owner) >= e.n || !e.known[owner] {
+		return 0, false
 	}
-	lst = append(lst, halfEdge{})
-	copy(lst[i+1:], lst[i:])
-	lst[i] = halfEdge{to: v, w: w}
-	e.adj[u] = lst
-}
-
-// removeArc drops the directed arc u→v if present.
-func (e *Estimator) removeArc(u, v packet.NodeID) {
-	i := e.arcPos(u, v)
-	lst := e.adj[u]
-	if i >= len(lst) || lst[i].to != v {
-		return
-	}
-	e.adj[u] = append(lst[:i], lst[i+1:]...)
-}
-
-// DirectTable returns a snapshot of this node's own averages, the
-// payload exchanged as "expected meeting times with nodes" metadata
-// (§4.2).
-func (e *Estimator) DirectTable() Table {
-	if e.self >= 0 && int(e.self) < e.n {
-		if t := e.tables[e.self]; t != nil {
-			return t.Clone()
-		}
-	}
-	return Table{}
-}
-
-// OwnTable returns the live internal self table — the allocation-free
-// form the control channel transmits every contact. Callers must treat
-// it as read-only and must not retain it across estimator mutations
-// (MergeTable copies, so passing it to a peer's merge is safe).
-func (e *Estimator) OwnTable() Table {
-	if e.self < 0 || int(e.self) >= e.n {
-		return nil
-	}
-	return e.tables[e.self]
+	return len(e.rows[owner]), true
 }
 
 // MergeTable installs owner's direct table as learned from a metadata
-// exchange, replacing any older version. The merge diffs in place —
-// gossip re-delivers whole tables, but between two exchanges most
-// entries are unchanged, and only moved pairs are re-derived (a no-op
-// merge leaves the version, and therefore the shortest-path memo,
-// untouched). The passed table is not retained.
+// exchange, replacing any older version. It sorts t into a row and
+// applies the same diff as MergeTableFrom. The passed table is not
+// retained.
 func (e *Estimator) MergeTable(owner packet.NodeID, t Table) {
 	if owner == e.self || owner < 0 {
 		return // own table is maintained locally
 	}
-	e.ensureNode(owner)
-	old := e.tables[owner]
-	if old == nil {
-		old = make(Table, len(t))
-		e.tables[owner] = old
-		e.tablesGen++
-	}
-	oldLen := len(old)
-	matched := 0
-	changed := false
+	row := make([]halfEdge, 0, len(t))
 	for id, w := range t {
-		if ow, ok := old[id]; ok {
-			matched++
-			if ow == w {
-				continue
-			}
-		}
-		old[id] = w
-		e.rowUpsert(owner, id, w)
-		e.refreshPair(owner, id)
-		changed = true
+		row = append(row, halfEdge{to: id, w: w})
 	}
-	// Meeting tables only ever grow in practice; scan for removals only
-	// when some old key went unmatched.
-	if matched < oldLen {
-		for id := range old {
-			if _, still := t[id]; !still {
-				delete(old, id)
-				e.rowDelete(owner, id)
-				e.refreshPair(owner, id)
-				changed = true
-			}
-		}
-	}
-	if changed {
-		e.version++
-	}
+	slices.SortFunc(row, func(a, b halfEdge) int { return cmp.Compare(a.to, b.to) })
+	e.mergeRow(owner, row)
 }
 
 // MergeTableFrom merges src's stored table of owner into e — the
-// in-process fast path of MergeTable the control channel uses when both
-// endpoints live in the same simulation. Semantics are identical to
-// e.MergeTable(owner, src.TableOf(owner)); the diff runs as a linear
-// merge of the two sorted row mirrors, touching the canonical map only
-// at entries that actually changed.
+// in-process form of MergeTable the control channel uses when both
+// endpoints live in the same simulation. An owner src does not know
+// installs as an empty table.
 func (e *Estimator) MergeTableFrom(src *Estimator, owner packet.NodeID) {
 	if owner == e.self || owner < 0 || src == e {
 		return
@@ -348,86 +249,50 @@ func (e *Estimator) MergeTableFrom(src *Estimator, owner packet.NodeID) {
 	if int(owner) < src.n {
 		incoming = src.rows[owner]
 	}
+	e.mergeRow(owner, incoming)
+}
+
+// mergeRow replaces owner's row with incoming (sorted by peer, not
+// retained) by one linear diff: only entries that were added, removed
+// or re-weighted re-derive their pair, and a no-op merge leaves the
+// version — and therefore the shortest-path memo — untouched.
+func (e *Estimator) mergeRow(owner packet.NodeID, incoming []halfEdge) {
 	e.ensureNode(owner)
-	old := e.tables[owner]
-	if old == nil {
-		old = make(Table, len(incoming))
-		e.tables[owner] = old
-		e.tablesGen++
-	}
+	e.markKnown(owner)
+	inf := math.Inf(1)
 	dst := e.rows[owner]
 	changed := false
 	i, j := 0, 0
-	for i < len(dst) && j < len(incoming) {
-		a, b := dst[i], incoming[j]
+	for i < len(dst) || j < len(incoming) {
 		switch {
-		case a.to == b.to:
-			if a.w != b.w {
-				old[b.to] = b.w
-				e.refreshPair(owner, b.to)
+		case j == len(incoming) || (i < len(dst) && dst[i].to < incoming[j].to): // removed entry
+			e.refreshPair(owner, dst[i].to, inf)
+			changed = true
+			i++
+		case i == len(dst) || incoming[j].to < dst[i].to: // new entry
+			e.refreshPair(owner, incoming[j].to, incoming[j].w)
+			changed = true
+			j++
+		default:
+			if dst[i].w != incoming[j].w {
+				e.refreshPair(owner, incoming[j].to, incoming[j].w)
 				changed = true
 			}
 			i++
 			j++
-		case b.to < a.to: // new entry
-			old[b.to] = b.w
-			e.refreshPair(owner, b.to)
-			changed = true
-			j++
-		default: // removed entry
-			delete(old, a.to)
-			e.refreshPair(owner, a.to)
-			changed = true
-			i++
 		}
 	}
-	for ; i < len(dst); i++ {
-		delete(old, dst[i].to)
-		e.refreshPair(owner, dst[i].to)
-		changed = true
-	}
-	for ; j < len(incoming); j++ {
-		old[incoming[j].to] = incoming[j].w
-		e.refreshPair(owner, incoming[j].to)
-		changed = true
-	}
-	// After the diff the row equals the incoming table exactly; rebuild
-	// the mirror as a copy rather than patching entry by entry.
 	if changed {
-		e.rows[owner] = append(e.rows[owner][:0], incoming...)
+		e.rows[owner] = append(dst[:0], incoming...)
 		e.version++
 	}
 }
 
 // KnownTables returns the ascending set of owners whose tables have
 // been merged (plus self if it has observed anything). Exposed for
-// control-plane delta encoding. The returned slice is cached behind the
-// mutation counters and must not be modified or retained across
-// estimator mutations.
-func (e *Estimator) KnownTables() []packet.NodeID {
-	if e.ownersFill && e.ownersVer == e.version && e.ownersGen == e.tablesGen {
-		return e.owners
-	}
-	e.owners = e.owners[:0]
-	for id, t := range e.tables {
-		if t != nil {
-			e.owners = append(e.owners, packet.NodeID(id))
-		}
-	}
-	e.ownersVer = e.version
-	e.ownersGen = e.tablesGen
-	e.ownersFill = true
-	return e.owners
-}
-
-// TableOf returns the stored direct table of a node (nil if unknown).
-// The returned map must not be modified.
-func (e *Estimator) TableOf(owner packet.NodeID) Table {
-	if owner < 0 || int(owner) >= e.n {
-		return nil
-	}
-	return e.tables[owner]
-}
+// control-plane delta encoding. The returned slice is live state and
+// must not be modified or retained across estimator mutations.
+func (e *Estimator) KnownTables() []packet.NodeID { return e.owners }
 
 // Version counts matrix mutations. Consumers caching derived values
 // (RAPID's delay-estimate cache) compare versions instead of
@@ -444,43 +309,39 @@ func (e *Estimator) Expected(from, to packet.NodeID) float64 {
 	if from == to {
 		return 0
 	}
-	if e.memoVer != e.version || len(e.memoDist) < e.n {
-		if cap(e.memoDist) < e.n {
-			e.memoDist = make([][]float64, e.n)
-		} else {
-			e.memoDist = e.memoDist[:e.n]
-			clear(e.memoDist)
-		}
-		e.memoVer = e.version
-	}
-	if int(from) < 0 || int(from) >= e.n {
+	if from < 0 || int(from) >= e.n {
 		return math.Inf(1)
 	}
-	dist := e.memoDist[from]
-	if dist == nil {
-		dist = e.shortestWithin(from)
-		e.memoDist[from] = dist
+	if len(e.memo) < e.n {
+		e.memo = append(e.memo, make([]memoRow, e.n-len(e.memo))...)
 	}
-	if int(to) < 0 || int(to) >= len(dist) {
+	m := &e.memo[from]
+	if m.ver != e.version+1 || len(m.dist) != e.n {
+		m.dist = e.shortestWithin(from, m.dist)
+		m.ver = e.version + 1
+	}
+	if to < 0 || int(to) >= len(m.dist) {
 		return math.Inf(1)
 	}
-	return dist[to]
+	return m.dist[to]
 }
 
 // shortestWithin runs h level-synchronous rounds of Bellman-Ford
 // relaxation from src over the adjacency lists, yielding min-cost paths
 // with at most h edges. Each round reads the previous round's
 // distances, so a path can never accumulate more than h hops. The
-// returned slice is freshly allocated (the memo retains it); the
+// result is written into dst (grown if too short) and returned; the
 // double-buffer partner is reused across calls.
-func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
+func (e *Estimator) shortestWithin(src packet.NodeID, dst []float64) []float64 {
 	inf := math.Inf(1)
-	cur := make([]float64, e.n)
+	if cap(dst) < e.n {
+		dst = make([]float64, e.n)
+	}
+	cur := dst[:e.n]
 	if cap(e.distScratch) < e.n {
 		e.distScratch = make([]float64, e.n)
 	}
 	next := e.distScratch[:e.n]
-	fresh := cur
 	for i := range cur {
 		cur[i] = inf
 	}
@@ -507,11 +368,10 @@ func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
 	cur[src] = 0
 	// An odd number of swaps leaves `cur` pointing at the scratch
 	// buffer; copy back so the memoized row survives the next query.
-	if &cur[0] != &fresh[0] {
-		copy(fresh, cur)
-		cur = fresh
+	if &cur[0] != &dst[0] {
+		copy(dst, cur)
 	}
-	return cur
+	return dst[:e.n]
 }
 
 // Rate returns the meeting rate lambda = 1/E(M_from,to), or 0 when the

@@ -13,9 +13,8 @@ func TestObserveMeetingBuildsAverages(t *testing.T) {
 	e := New(0, 3)
 	e.ObserveMeeting(1, 100) // gap 100 from virtual epoch meeting
 	e.ObserveMeeting(1, 300) // gap 200
-	tbl := e.DirectTable()
-	if got := tbl[1]; got != 150 {
-		t.Errorf("avg gap %v want 150", got)
+	if n, ok := e.TableLen(0); n != 1 || !ok {
+		t.Errorf("own table len %d known %v, want 1 true", n, ok)
 	}
 	if got := e.Expected(0, 1); got != 150 {
 		t.Errorf("Expected(0,1)=%v want 150", got)
@@ -122,6 +121,19 @@ func TestMergeTableCopiesAndSelfIgnored(t *testing.T) {
 	e.MergeTable(0, Table{1: 1}) // attempts to overwrite own table
 	if got := e.Expected(0, 1); got != 50 {
 		t.Errorf("own table overwritten by merge: %v", got)
+	}
+}
+
+func TestNegativeSelfIgnoresObservations(t *testing.T) {
+	e := New(-1, 3)
+	e.ObserveMeeting(2, 10) // must not index rows[-1]
+	if e.Version() != 0 || len(e.KnownTables()) != 0 {
+		t.Errorf("negative self observed: version %d, known %v", e.Version(), e.KnownTables())
+	}
+	// Third-party tables still merge and estimate.
+	e.MergeTable(1, Table{2: 30})
+	if got := e.Expected(1, 2); got != 30 {
+		t.Errorf("Expected(1,2)=%v want 30", got)
 	}
 }
 
