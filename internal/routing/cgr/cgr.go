@@ -135,8 +135,8 @@ func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entr
 			if h.to != peer.ID || now < w.start-timeEps || now > w.end+timeEps {
 				continue // planned through a different contact
 			}
-			if !matched || rt.arriveAt() < bestAt {
-				matched, bestAt = true, rt.arriveAt()
+			if at := arrival(rt.hops); !matched || at < bestAt {
+				matched, bestAt = true, at
 			}
 		}
 		if !matched {

@@ -2,8 +2,6 @@ package cgr
 
 import (
 	"math"
-	"strconv"
-	"strings"
 
 	"rapid/internal/packet"
 )
@@ -13,8 +11,8 @@ import (
 // KPaths Yen alternates when the policy asks for it. With KPaths == 1
 // (and no live sibling routes) it is a bare plan() call — the classic
 // single-path arm never pays for the search.
-func (pl *Planner) planBest(p *packet.Packet, from packet.NodeID, now float64, r0 int) *route {
-	ban := pl.banFor(p.ID)
+func (pl *Planner) planBest(p *packet.Packet, from packet.NodeID, now float64, r0 int) []hop {
+	ban := banFor(pl.routes[p.ID])
 	best := pl.plan(p, from, now, r0, ban)
 	if best == nil || pl.pol.KPaths <= 1 {
 		return best
@@ -34,16 +32,18 @@ func (pl *Planner) planBest(p *packet.Packet, from packet.NodeID, now float64, r
 // headroom — so every alternate returned is committable as-is. The
 // result is ordered by acceptance (earliest arrival first) and always
 // starts with best.
-func (pl *Planner) kAlternates(p *packet.Packet, from packet.NodeID, now float64, r0 int, base *banSet, best *route) []*route {
-	accepted := []*route{best}
-	seen := map[string]bool{routeKey(best): true}
-	var pool []*route
+func (pl *Planner) kAlternates(p *packet.Packet, from packet.NodeID, now float64, r0 int, base *banSet, best []hop) [][]hop {
+	accepted := [][]hop{best}
+	var pool [][]hop
+	// One spur ban set serves every deviation: plan() flattens it on
+	// entry and keeps no reference, so its slices are refilled in place.
+	ban := &banSet{parent: base}
 	for len(accepted) < pl.pol.KPaths {
 		cur := accepted[len(accepted)-1]
-		for i := 0; i < len(cur.hops); i++ {
+		for i := 0; i < len(cur); i++ {
 			spurFrom, spurT, spurRank := from, now, r0
 			if i > 0 {
-				h := cur.hops[i-1]
+				h := cur[i-1]
 				spurFrom, spurT = h.to, h.arrive
 				// The spur's custody rank at the deviation node mirrors
 				// how the prefix would really arrive there: a point
@@ -55,27 +55,25 @@ func (pl *Planner) kAlternates(p *packet.Packet, from packet.NodeID, now float64
 					spurRank = rankStreamed
 				}
 			}
-			ban := &banSet{parent: base, wins: make(map[int]bool), nodes: make(map[packet.NodeID]bool)}
-			ban.nodes[from] = true
+			ban.wins = ban.wins[:0]
+			ban.nodes = append(ban.nodes[:0], from)
 			for j := 0; j < i; j++ {
-				ban.wins[cur.hops[j].win] = true
-				ban.nodes[cur.hops[j].to] = true
+				ban.wins = append(ban.wins, cur[j].win)
+				ban.nodes = append(ban.nodes, cur[j].to)
 			}
 			for _, q := range accepted {
-				if len(q.hops) > i && samePrefix(q, cur, i) {
-					ban.wins[q.hops[i].win] = true
+				if len(q) > i && samePrefix(q, cur, i) {
+					ban.wins = append(ban.wins, q[i].win)
 				}
 			}
 			spur := pl.plan(p, spurFrom, spurT, spurRank, ban)
 			if spur == nil {
 				continue
 			}
-			full := &route{hops: append(append([]hop(nil), cur.hops[:i]...), spur.hops...)}
-			key := routeKey(full)
-			if seen[key] {
+			full := append(cur[:i:i], spur...)
+			if containsPath(accepted, full) || containsPath(pool, full) {
 				continue
 			}
-			seen[key] = true
 			pool = append(pool, full)
 		}
 		// Accept the cheapest pooled candidate (arrival, then hop
@@ -95,57 +93,60 @@ func (pl *Planner) kAlternates(p *packet.Packet, from packet.NodeID, now float64
 	return accepted
 }
 
-// samePrefix reports whether two routes traverse identical windows up
+// arrival returns a planned path's delivery instant.
+func arrival(hops []hop) float64 { return hops[len(hops)-1].arrive }
+
+// samePrefix reports whether two paths traverse identical windows up
 // to (excluding) hop index i.
-func samePrefix(a, b *route, i int) bool {
+func samePrefix(a, b []hop, i int) bool {
 	for j := 0; j < i; j++ {
-		if a.hops[j].win != b.hops[j].win {
+		if a[j].win != b[j].win {
 			return false
 		}
 	}
 	return true
 }
 
-// routeKey is a route's identity for deduplication: its window-index
-// sequence.
-func routeKey(r *route) string {
-	var b strings.Builder
-	for _, h := range r.hops {
-		b.WriteString(strconv.Itoa(h.win))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
-// betterCand orders Yen candidates: earlier arrival, then fewer hops,
-// then lexicographically smaller window sequence.
-func betterCand(a, b *route) bool {
-	if a.arriveAt() != b.arriveAt() {
-		return a.arriveAt() < b.arriveAt()
-	}
-	if len(a.hops) != len(b.hops) {
-		return len(a.hops) < len(b.hops)
-	}
-	for i := range a.hops {
-		if a.hops[i].win != b.hops[i].win {
-			return a.hops[i].win < b.hops[i].win
+// containsPath reports whether some path in ps traverses exactly the
+// window sequence of x — a path's identity for deduplication.
+func containsPath(ps [][]hop, x []hop) bool {
+	for _, q := range ps {
+		if len(q) == len(x) && samePrefix(q, x, len(x)) {
+			return true
 		}
 	}
 	return false
 }
 
-// selectRoute picks the route to commit from the Yen alternates:
-// among candidates whose in-flight time is within (1+DelaySlack)× the
-// earliest one's, the widest — largest bottleneck residual — wins;
-// ties keep the earlier-accepted (earlier-arriving) candidate. Routing
-// onto the widest feasible alternate trades a bounded delay increase
-// for congestion headroom on the contested windows.
-func (pl *Planner) selectRoute(cands []*route, now float64) *route {
+// betterCand orders Yen candidates: earlier arrival, then fewer hops,
+// then lexicographically smaller window sequence.
+func betterCand(a, b []hop) bool {
+	if arrival(a) != arrival(b) {
+		return arrival(a) < arrival(b)
+	}
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	for i := range a {
+		if a[i].win != b[i].win {
+			return a[i].win < b[i].win
+		}
+	}
+	return false
+}
+
+// selectRoute picks the path to commit from the Yen alternates: among
+// candidates whose in-flight time is within (1+DelaySlack)× the
+// earliest one's, the widest — largest bottleneck residual — wins; ties
+// keep the earlier-accepted (earlier-arriving) candidate. Routing onto
+// the widest feasible alternate trades a bounded delay increase for
+// congestion headroom on the contested windows.
+func (pl *Planner) selectRoute(cands [][]hop, now float64) []hop {
 	best := cands[0]
-	limit := best.arriveAt() + pl.pol.DelaySlack*(best.arriveAt()-now)
+	limit := arrival(best) + pl.pol.DelaySlack*(arrival(best)-now)
 	pick, pickWidth := best, pl.width(best)
 	for _, c := range cands[1:] {
-		if c.arriveAt() > limit+timeEps {
+		if arrival(c) > limit+timeEps {
 			continue
 		}
 		if w := pl.width(c); w > pickWidth {
@@ -155,11 +156,11 @@ func (pl *Planner) selectRoute(cands []*route, now float64) *route {
 	return pick
 }
 
-// width is a route's bottleneck residual capacity — the tightest
-// window it traverses, before its own commitment.
-func (pl *Planner) width(r *route) int64 {
+// width is a path's bottleneck residual capacity — the tightest window
+// it traverses, before its own commitment.
+func (pl *Planner) width(hops []hop) int64 {
 	w := int64(math.MaxInt64)
-	for _, h := range r.hops {
+	for _, h := range hops {
 		if res := pl.windows[h.win].residual; res < w {
 			w = res
 		}

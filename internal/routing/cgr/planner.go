@@ -1,7 +1,7 @@
 package cgr
 
 import (
-	"container/heap"
+	"fmt"
 	"math"
 	"sort"
 
@@ -67,9 +67,6 @@ type route struct {
 	size   int64
 }
 
-// arriveAt returns the planned delivery instant.
-func (r *route) arriveAt() float64 { return r.hops[len(r.hops)-1].arrive }
-
 // reservation records planned buffer occupancy of one packet at one
 // node over its custody interval. rt ties it to the route that took it,
 // so multi-copy release refunds per route, not per packet.
@@ -91,30 +88,13 @@ type tryKey struct {
 // banSet is the exclusion set threaded through plan(): window indices
 // and relay nodes a candidate path must avoid. Sets chain through
 // parent so composing Yen spur bans on top of the copy-disjointness
-// base needs no map copying. The destination is never banned — checks
-// skip it explicitly. A nil *banSet bans nothing.
+// base copies nothing; plan() flattens the chain once into its
+// epoch-stamped ban arrays. Entries may repeat. The destination is
+// never banned — checks skip it explicitly. A nil *banSet bans nothing.
 type banSet struct {
 	parent *banSet
-	wins   map[int]bool
-	nodes  map[packet.NodeID]bool
-}
-
-func (b *banSet) winBanned(wi int) bool {
-	for s := b; s != nil; s = s.parent {
-		if s.wins[wi] {
-			return true
-		}
-	}
-	return false
-}
-
-func (b *banSet) nodeBanned(n packet.NodeID) bool {
-	for s := b; s != nil; s = s.parent {
-		if s.nodes[n] {
-			return true
-		}
-	}
-	return false
+	wins   []int
+	nodes  []packet.NodeID
 }
 
 // Planner is the shared contact-graph state of one run: the expanded
@@ -122,16 +102,20 @@ func (b *banSet) nodeBanned(n packet.NodeID) bool {
 // reservations, and every packet's live routes and custodians. All of
 // a run's CGR routers share one Planner; the simulator is
 // single-threaded, so no locking.
+//
+// Per-node state is held in slices indexed by NodeID, sized by index()
+// to the largest window endpoint; IDs beyond that (nodes with no
+// window) read as empty through windowsOf and node.
 type Planner struct {
 	pol     Policy
 	windows []window
-	byNode  map[packet.NodeID][]int // window indices touching the node, start-sorted
-	nodes   map[packet.NodeID]*routing.Node
+	byNode  [][]int // window indices touching the node, start-sorted
+	nodes   []*routing.Node
 	capFor  func(packet.NodeID) int64 // <= 0: unlimited
 	// routes holds each packet's live replica routes, creation-ordered;
 	// at most pol.Copies entries per packet.
 	routes map[packet.ID][]*route
-	resv   map[packet.NodeID][]reservation
+	resv   [][]reservation
 	// lastTry throttles re-planning of currently unroutable packets to
 	// once per simulation instant per custodian.
 	lastTry map[tryKey]float64
@@ -146,11 +130,20 @@ type Planner struct {
 	admBytes map[packet.NodeID]int64
 	admDst   map[packet.ID]packet.NodeID
 
-	// Dijkstra scratch, reused across plans.
-	dist map[packet.NodeID]float64
-	rank map[packet.NodeID]int
-	prev map[packet.NodeID]hop
-	done map[packet.NodeID]bool
+	// Dijkstra scratch, reused across plans. An entry is valid only
+	// when its stamp equals the current epoch: seen marks a node whose
+	// dist/rank/prev were written by this plan, done a settled node,
+	// winBan/nodeBan the flattened exclusions of this plan's banSet.
+	// Bumping epoch invalidates everything at once.
+	epoch    uint32
+	dist     []float64
+	rank     []int
+	prev     []hop
+	seen     []uint32
+	done     []uint32
+	winBan   []uint32
+	nodeBan  []uint32
+	frontier pq
 
 	execScratch []*route
 }
@@ -167,16 +160,9 @@ type admEntry struct {
 func newPlanner(pol Policy) *Planner {
 	pl := &Planner{
 		pol:      pol.normalized(),
-		byNode:   make(map[packet.NodeID][]int),
-		nodes:    make(map[packet.NodeID]*routing.Node),
 		routes:   make(map[packet.ID][]*route),
-		resv:     make(map[packet.NodeID][]reservation),
 		lastTry:  make(map[tryKey]float64),
 		finished: make(map[packet.ID]bool),
-		dist:     make(map[packet.NodeID]float64),
-		rank:     make(map[packet.NodeID]int),
-		prev:     make(map[packet.NodeID]hop),
-		done:     make(map[packet.NodeID]bool),
 	}
 	if pl.pol.AdmitFraction > 0 {
 		pl.admitted = make(map[packet.NodeID][]admEntry)
@@ -223,12 +209,30 @@ func (pl *Planner) prime(s *trace.Schedule, net *routing.Network) {
 		}
 		pl.windows = append(pl.windows, w)
 	}
+	pl.index()
+}
+
+// index builds the node-indexed views of pl.windows: the per-node
+// window lists and the reservation and Dijkstra state, all sized to the
+// largest window endpoint. Node IDs are non-negative throughout the
+// runtime; a negative endpoint is a malformed schedule.
+func (pl *Planner) index() {
+	n := 0
+	for i := range pl.windows {
+		w := &pl.windows[i]
+		if w.a < 0 || w.b < 0 {
+			panic(fmt.Sprintf("cgr: window %d has a negative node ID (%d, %d)", i, w.a, w.b))
+		}
+		n = max(n, int(w.a)+1, int(w.b)+1)
+	}
+	pl.byNode = make([][]int, n)
 	for i, w := range pl.windows {
 		pl.byNode[w.a] = append(pl.byNode[w.a], i)
 		pl.byNode[w.b] = append(pl.byNode[w.b], i)
 	}
-	// Start-sorted per-node lists let the live-contact lookup binary
-	// search; ties keep execution-rank order.
+	// Start-sorted per-node lists let the live-contact lookup and the
+	// Dijkstra relaxation binary search past windows; ties keep
+	// execution-rank order.
 	for _, list := range pl.byNode {
 		sort.Slice(list, func(i, j int) bool {
 			wi, wj := &pl.windows[list[i]], &pl.windows[list[j]]
@@ -238,6 +242,29 @@ func (pl *Planner) prime(s *trace.Schedule, net *routing.Network) {
 			return list[i] < list[j]
 		})
 	}
+	pl.resv = make([][]reservation, n)
+	pl.dist = make([]float64, n)
+	pl.rank = make([]int, n)
+	pl.prev = make([]hop, n)
+	pl.seen = make([]uint32, n)
+	pl.done = make([]uint32, n)
+	pl.nodeBan = make([]uint32, n)
+	pl.winBan = make([]uint32, len(pl.windows))
+}
+
+// windowsOf returns the node's start-sorted window list; empty for an
+// ID no window touches.
+func (pl *Planner) windowsOf(n packet.NodeID) []int {
+	if n < 0 || int(n) >= len(pl.byNode) {
+		return nil
+	}
+	return pl.byNode[n]
+}
+
+// firstFrom returns the index of the first window in the start-sorted
+// list whose start is >= bound (len(list) when none is).
+func (pl *Planner) firstFrom(list []int, bound float64) int {
+	return sort.Search(len(list), func(i int) bool { return pl.windows[list[i]].start >= bound })
 }
 
 // liveWindow locates the window being executed between two nodes at the
@@ -246,13 +273,10 @@ func (pl *Planner) prime(s *trace.Schedule, net *routing.Network) {
 // Returns -1 when none matches (the contact came from outside the
 // primed schedule).
 func (pl *Planner) liveWindow(a, b packet.NodeID, now float64) int {
-	list := pl.byNode[a]
+	list := pl.windowsOf(a)
 	// Windowed contacts consult routers only at open, so start == now
 	// for every live window; search the equal-start run.
-	lo := sort.Search(len(list), func(i int) bool {
-		return pl.windows[list[i]].start >= now-timeEps
-	})
-	for i := lo; i < len(list); i++ {
+	for i := pl.firstFrom(list, now-timeEps); i < len(list); i++ {
 		w := &pl.windows[list[i]]
 		if w.start > now+timeEps {
 			break
@@ -266,7 +290,23 @@ func (pl *Planner) liveWindow(a, b packet.NodeID, now float64) int {
 
 // register records a node at attach time so custody transfers can drop
 // the sender's copy.
-func (pl *Planner) register(n *routing.Node) { pl.nodes[n.ID] = n }
+func (pl *Planner) register(n *routing.Node) {
+	if n.ID < 0 {
+		return // no window can touch it, so no transfer ever names it
+	}
+	if int(n.ID) >= len(pl.nodes) {
+		pl.nodes = append(pl.nodes, make([]*routing.Node, int(n.ID)+1-len(pl.nodes))...)
+	}
+	pl.nodes[n.ID] = n
+}
+
+// node returns the registered node with the given ID, nil when none.
+func (pl *Planner) node(id packet.NodeID) *routing.Node {
+	if id < 0 || int(id) >= len(pl.nodes) {
+		return nil
+	}
+	return pl.nodes[id]
+}
 
 // occupied sums planned buffer reservations at node covering instant t,
 // excluding packet id's own reservations.
@@ -297,10 +337,11 @@ func (pl *Planner) fitsBuffer(node packet.NodeID, t float64, p *packet.Packet) b
 	return pl.occupied(node, t, p.ID)+p.Size <= capacity
 }
 
-// pqItem / pq implement the Dijkstra frontier ordered by
-// (arrival, rank, node) — rank breaks time ties because a lower-rank
-// label can use strictly more same-instant windows; the node tiebreak
-// keeps settling deterministic.
+// pqItem / pq implement the Dijkstra frontier as a binary min-heap
+// ordered by (arrival, rank, node) — rank breaks time ties because a
+// lower-rank label can use strictly more same-instant windows; the node
+// tiebreak keeps settling deterministic. The order is total, so the pop
+// sequence does not depend on the heap's internal layout.
 type pqItem struct {
 	node packet.NodeID
 	at   float64
@@ -309,22 +350,71 @@ type pqItem struct {
 
 type pq []pqItem
 
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a pqItem) less(b pqItem) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if q[i].rank != q[j].rank {
-		return q[i].rank < q[j].rank
+	if a.rank != b.rank {
+		return a.rank < b.rank
 	}
-	return q[i].node < q[j].node
+	return a.node < b.node
 }
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)   { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].less(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*q = h
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		c := l
+		if r := l + 1; r < n && h[r].less(h[l]) {
+			c = r
+		}
+		if !h[c].less(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
+}
 
 // sameInstant compares schedule times for equality within float noise.
 func sameInstant(a, b float64) bool { return math.Abs(a-b) <= timeEps }
+
+// nextEpoch starts a plan: every stamp written by earlier plans becomes
+// stale. On the (2^32-plan) wrap the stamp arrays are zeroed so no old
+// stamp can alias the restarted counter.
+func (pl *Planner) nextEpoch() uint32 {
+	pl.epoch++
+	if pl.epoch == 0 {
+		clear(pl.seen)
+		clear(pl.done)
+		clear(pl.winBan)
+		clear(pl.nodeBan)
+		pl.epoch = 1
+	}
+	return pl.epoch
+}
 
 // plan runs earliest-arrival Dijkstra over the time-expanded contact
 // graph for packet p held at `from` since `now`, with custody rank r0
@@ -345,30 +435,51 @@ func sameInstant(a, b float64) bool { return math.Abs(a-b) <= timeEps }
 //     instant (per the run's BufferBytesFor assignment).
 //
 // Labels are (arrival, rank) lexicographic — for equal arrivals a
-// lower rank dominates. Returns nil when the destination is
-// unreachable under those constraints.
-func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 int, ban *banSet) *route {
-	dist, rank, prev, done := pl.dist, pl.rank, pl.prev, pl.done
-	clear(dist)
-	clear(rank)
-	clear(prev)
-	clear(done)
-	dist[from] = now
-	rank[from] = r0
-	frontier := pq{{node: from, at: now, rank: r0}}
+// lower rank dominates. Returns the hop sequence, nil when the
+// destination is unreachable under those constraints, and an empty
+// non-nil sequence when from is the destination itself. The hop slice
+// is the only allocation: all search state is epoch-stamped scratch.
+func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 int, ban *banSet) []hop {
+	if from == p.Dst {
+		return []hop{}
+	}
+	if len(pl.windowsOf(from)) == 0 {
+		return nil
+	}
+	ep := pl.nextEpoch()
+	for s := ban; s != nil; s = s.parent {
+		for _, wi := range s.wins {
+			pl.winBan[wi] = ep
+		}
+		for _, n := range s.nodes {
+			if n >= 0 && int(n) < len(pl.nodeBan) {
+				pl.nodeBan[n] = ep
+			}
+		}
+	}
+	dist, rank, prev, seen, done := pl.dist, pl.rank, pl.prev, pl.seen, pl.done
+	dist[from], rank[from], seen[from] = now, r0, ep
+	frontier := append(pl.frontier[:0], pqItem{node: from, at: now, rank: r0})
+	reached := false
 	for len(frontier) > 0 {
-		it := heap.Pop(&frontier).(pqItem)
+		it := frontier.pop()
 		u := it.node
-		if done[u] || it.at > dist[u] || (it.at == dist[u] && it.rank > rank[u]) {
+		if done[u] == ep || it.at > dist[u] || (it.at == dist[u] && it.rank > rank[u]) {
 			continue
 		}
-		done[u] = true
+		done[u] = ep
 		if u == p.Dst {
+			reached = true
 			break
 		}
 		t, tr := dist[u], rank[u]
-		for _, wi := range pl.byNode[u] {
-			if ban.winBanned(wi) {
+		// A window starting before t-timeEps has already executed (point
+		// meeting) or opened without the packet (windowed contact), and
+		// those form a prefix of the start-sorted list: enter it at the
+		// first window that can still relax.
+		list := pl.byNode[u]
+		for _, wi := range list[pl.firstFrom(list, t-timeEps):] {
+			if pl.winBan[wi] == ep {
 				continue
 			}
 			w := &pl.windows[wi]
@@ -376,21 +487,21 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 			if v == u {
 				v = w.a
 			}
-			if done[v] || w.residual < p.Size {
+			if done[v] == ep || w.residual < p.Size {
 				continue
 			}
-			if v != p.Dst && ban.nodeBanned(v) {
+			if v != p.Dst && pl.nodeBan[v] == ep {
 				continue
 			}
 			var at float64
 			var ar int
 			if w.rate == 0 {
-				if w.start < t-timeEps || (sameInstant(w.start, t) && wi <= tr) {
+				if sameInstant(w.start, t) && wi <= tr {
 					continue // meeting already executed
 				}
 				at, ar = w.start, wi
 			} else {
-				if w.start < t-timeEps || (sameInstant(w.start, t) && wi <= tr) {
+				if sameInstant(w.start, t) && wi <= tr {
 					continue // open snapshot misses the packet
 				}
 				at = w.start + float64(w.cap0-w.residual+p.Size)/w.rate
@@ -405,49 +516,47 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 			if !pl.fitsBuffer(v, at, p) {
 				continue
 			}
-			if cur, seen := dist[v]; !seen || at < cur || (at == cur && ar < rank[v]) {
-				dist[v] = at
-				rank[v] = ar
+			if seen[v] != ep || at < dist[v] || (at == dist[v] && ar < rank[v]) {
+				dist[v], rank[v], seen[v] = at, ar, ep
 				prev[v] = hop{win: wi, from: u, to: v, depart: w.start, arrive: at}
-				heap.Push(&frontier, pqItem{node: v, at: at, rank: ar})
+				frontier.push(pqItem{node: v, at: at, rank: ar})
 			}
 		}
 	}
-	if !done[p.Dst] {
+	pl.frontier = frontier
+	if !reached {
 		return nil
 	}
-	var hops []hop
-	for node := p.Dst; node != from; {
-		h := prev[node]
-		hops = append(hops, h)
-		node = h.from
+	n := 0
+	for node := p.Dst; node != from; node = prev[node].from {
+		n++
 	}
-	for l, r := 0, len(hops)-1; l < r; l, r = l+1, r-1 {
-		hops[l], hops[r] = hops[r], hops[l]
+	hops := make([]hop, n)
+	for node := p.Dst; node != from; node = prev[node].from {
+		n--
+		hops[n] = prev[node]
 	}
-	return &route{hops: hops}
+	return hops
 }
 
 // banFor builds the copy-disjointness exclusion set for a new route of
-// the packet: every window and every node its other live routes touch.
-// Replicas must be capacity-disjoint (no shared window — they would
-// compete for the same reserved bytes) and relay-disjoint (the store is
-// keyed by packet ID, so a node can never hold two copies); only source
-// and destination may be shared. Returns nil — ban nothing — when the
-// packet has no live routes, which keeps the single-copy arm on the
-// exact classic code path.
-func (pl *Planner) banFor(id packet.ID) *banSet {
-	rs := pl.routes[id]
+// a packet whose live routes are rs: every window and every node they
+// touch. Replicas must be capacity-disjoint (no shared window — they
+// would compete for the same reserved bytes) and relay-disjoint (the
+// store is keyed by packet ID, so a node can never hold two copies);
+// only source and destination may be shared. Returns nil — ban nothing
+// — when there are no live routes, which keeps the single-copy arm on
+// the exact classic code path.
+func banFor(rs []*route) *banSet {
 	if len(rs) == 0 {
 		return nil
 	}
-	b := &banSet{wins: make(map[int]bool), nodes: make(map[packet.NodeID]bool)}
+	b := &banSet{}
 	for _, r := range rs {
-		b.nodes[r.holder] = true
+		b.nodes = append(b.nodes, r.holder)
 		for _, h := range r.hops {
-			b.wins[h.win] = true
-			b.nodes[h.from] = true
-			b.nodes[h.to] = true
+			b.wins = append(b.wins, h.win)
+			b.nodes = append(b.nodes, h.from, h.to)
 		}
 	}
 	return b
@@ -467,13 +576,12 @@ func (pl *Planner) commit(p *packet.Packet, r *route, holder packet.NodeID) {
 			})
 		}
 	}
-	pl.routes[p.ID] = append(pl.routes[p.ID], r)
 }
 
-// releaseRoute refunds the untraversed remainder of one route —
-// residual capacity of hops not yet executed and every buffer
-// reservation it took — and forgets it.
-func (pl *Planner) releaseRoute(id packet.ID, r *route) {
+// releaseRoute refunds the untraversed remainder of one route: residual
+// capacity of hops not yet executed and every buffer reservation it
+// took.
+func (pl *Planner) releaseRoute(r *route) {
 	for i := r.next; i < len(r.hops); i++ {
 		pl.windows[r.hops[i].win].residual += r.size
 	}
@@ -481,22 +589,31 @@ func (pl *Planner) releaseRoute(id packet.ID, r *route) {
 	// those nodes, not the whole network (release runs on every
 	// re-plan and delivery).
 	for _, h := range r.hops {
-		list, ok := pl.resv[h.to]
-		if !ok {
-			continue
-		}
+		list := pl.resv[h.to]
 		out := list[:0]
 		for _, rv := range list {
 			if rv.rt != r {
 				out = append(out, rv)
 			}
 		}
-		if len(out) == 0 {
-			delete(pl.resv, h.to)
-		} else {
-			pl.resv[h.to] = out
-		}
+		clear(list[len(out):]) // drop the released routes' pointers
+		pl.resv[h.to] = out
 	}
+}
+
+// adopt turns a planned hop sequence into a live route of packet p held
+// at holder: its resources are committed and it joins the packet's
+// routes.
+func (pl *Planner) adopt(p *packet.Packet, hops []hop, holder packet.NodeID) *route {
+	r := &route{hops: hops}
+	pl.commit(p, r, holder)
+	pl.routes[p.ID] = append(pl.routes[p.ID], r)
+	return r
+}
+
+// drop releases one live route of the packet and forgets it.
+func (pl *Planner) drop(id packet.ID, r *route) {
+	pl.releaseRoute(r)
 	list := pl.routes[id]
 	out := list[:0]
 	for _, o := range list {
@@ -513,9 +630,10 @@ func (pl *Planner) releaseRoute(id packet.ID, r *route) {
 
 // release drops every live route of the packet. Safe with none.
 func (pl *Planner) release(id packet.ID) {
-	for len(pl.routes[id]) > 0 {
-		pl.releaseRoute(id, pl.routes[id][0])
+	for _, r := range pl.routes[id] {
+		pl.releaseRoute(r)
 	}
+	delete(pl.routes, id)
 }
 
 // fresh reports whether the route's planned next hop is still
@@ -577,7 +695,7 @@ func (pl *Planner) executable(p *packet.Packet, node packet.NodeID, now float64,
 		if victim == nil {
 			break
 		}
-		pl.releaseRoute(p.ID, victim)
+		pl.drop(p.ID, victim)
 	}
 	// Replace what was released; a replica with no route gets one
 	// attempt. The copy budget bounds the total either way.
@@ -586,12 +704,11 @@ func (pl *Planner) executable(p *packet.Packet, node packet.NodeID, now float64,
 		plans = 1
 	}
 	for i := 0; i < plans && len(pl.routes[p.ID]) < pl.pol.Copies; i++ {
-		r := pl.planBest(p, node, now, r0)
-		if r == nil {
+		hops := pl.planBest(p, node, now, r0)
+		if hops == nil {
 			break
 		}
-		pl.commit(p, r, node)
-		out = append(out, r)
+		out = append(out, pl.adopt(p, hops, node))
 	}
 	pl.execScratch = out
 	return out
@@ -604,11 +721,11 @@ func (pl *Planner) executable(p *packet.Packet, node packet.NodeID, now float64,
 func (pl *Planner) spread(p *packet.Packet, node packet.NodeID, now float64) {
 	pl.lastTry[tryKey{id: p.ID, node: node}] = now
 	for len(pl.routes[p.ID]) < pl.pol.Copies {
-		r := pl.planBest(p, node, now, rankGenerated)
-		if r == nil {
+		hops := pl.planBest(p, node, now, rankGenerated)
+		if hops == nil {
 			return
 		}
-		pl.commit(p, r, node)
+		pl.adopt(p, hops, node)
 	}
 }
 
@@ -622,10 +739,10 @@ func (pl *Planner) transferred(id packet.ID, from, to packet.NodeID) {
 	if pl.finished[id] {
 		// A replica of an already-delivered packet was in flight when
 		// delivery happened elsewhere: drop both ends.
-		if n := pl.nodes[from]; n != nil {
+		if n := pl.node(from); n != nil {
 			n.Store.Remove(id)
 		}
-		if n := pl.nodes[to]; n != nil {
+		if n := pl.node(to); n != nil {
 			n.Store.Remove(id)
 		}
 		return
@@ -650,7 +767,7 @@ func (pl *Planner) transferred(id packet.ID, from, to packet.NodeID) {
 		}
 	}
 	if !still {
-		if n := pl.nodes[from]; n != nil {
+		if n := pl.node(from); n != nil {
 			n.Store.Remove(id)
 		}
 	}
@@ -664,7 +781,7 @@ func (pl *Planner) transferred(id packet.ID, from, to packet.NodeID) {
 // both session ends).
 func (pl *Planner) delivered(id packet.ID) {
 	for _, r := range pl.routes[id] {
-		if n := pl.nodes[r.holder]; n != nil {
+		if n := pl.node(r.holder); n != nil {
 			n.Store.Remove(id)
 		}
 	}
@@ -688,7 +805,7 @@ func (pl *Planner) admitAllowed(p *packet.Packet, now float64) bool {
 	}
 	pl.pruneAdmitted(p.Dst, now)
 	var capacity int64
-	for _, wi := range pl.byNode[p.Dst] {
+	for _, wi := range pl.windowsOf(p.Dst) {
 		if w := &pl.windows[wi]; w.end >= now-timeEps {
 			capacity += w.residual
 		}

@@ -8,6 +8,7 @@ package cgr
 import (
 	"testing"
 
+	"rapid/internal/buffer"
 	"rapid/internal/packet"
 	"rapid/internal/routing"
 	"rapid/internal/trace"
@@ -98,11 +99,17 @@ func handPlanner(pol Policy, meetings []trace.Meeting) *Planner {
 			cap0: m.Bytes, residual: m.Bytes,
 		})
 	}
-	for i, w := range pl.windows {
-		pl.byNode[w.a] = append(pl.byNode[w.a], i)
-		pl.byNode[w.b] = append(pl.byNode[w.b], i)
-	}
+	pl.index()
 	return pl
+}
+
+// reservations counts the buffer reservations held over all nodes.
+func reservations(pl *Planner) int {
+	n := 0
+	for _, list := range pl.resv {
+		n += len(list)
+	}
+	return n
 }
 
 // TestReservationConservation: commit → release restores every residual
@@ -116,11 +123,11 @@ func TestReservationConservation(t *testing.T) {
 	pl := handPlanner(DefaultPolicy(), meetings)
 	p := &packet.Packet{ID: 1, Src: 0, Dst: 2, Size: 1000}
 
-	r := pl.plan(p, 0, 0, rankGenerated, nil)
-	if r == nil || len(r.hops) != 2 {
-		t.Fatalf("plan: got %+v, want a 2-hop route", r)
+	hops := pl.plan(p, 0, 0, rankGenerated, nil)
+	if len(hops) != 2 {
+		t.Fatalf("plan: got %+v, want a 2-hop route", hops)
 	}
-	pl.commit(p, r, 0)
+	pl.adopt(p, hops, 0)
 	if pl.windows[0].residual != 3096 || pl.windows[1].residual != 3096 {
 		t.Fatalf("residuals after commit: %d, %d, want 3096, 3096",
 			pl.windows[0].residual, pl.windows[1].residual)
@@ -135,14 +142,13 @@ func TestReservationConservation(t *testing.T) {
 		t.Fatalf("release must refund both hops exactly: %d, %d",
 			pl.windows[0].residual, pl.windows[1].residual)
 	}
-	if len(pl.resv) != 0 || len(pl.routes) != 0 {
-		t.Fatalf("release leaked state: %d resv nodes, %d routed packets", len(pl.resv), len(pl.routes))
+	if reservations(pl) != 0 || len(pl.routes) != 0 {
+		t.Fatalf("release leaked state: %d reservations, %d routed packets", reservations(pl), len(pl.routes))
 	}
 
 	// Re-plan, execute the first hop, then release: only the second
 	// hop's reservation comes back — the first window's bytes are spent.
-	r = pl.plan(p, 0, 0, rankGenerated, nil)
-	pl.commit(p, r, 0)
+	pl.adopt(p, pl.plan(p, 0, 0, rankGenerated, nil), 0)
 	pl.transferred(p.ID, 0, 1)
 	if got := pl.routes[p.ID][0]; got.next != 1 || got.holder != 1 {
 		t.Fatalf("transfer bookkeeping: next=%d holder=%d, want 1, 1", got.next, got.holder)
@@ -198,8 +204,8 @@ func TestMultiCopyDisjointSpread(t *testing.T) {
 	}
 	// Delivery sweeps the packet everywhere: no live routes, no
 	// reservations, no stray replicas left to re-deliver.
-	if len(pl.routes) != 0 || len(pl.resv) != 0 {
-		t.Fatalf("delivery left %d routed packets, %d reservation nodes", len(pl.routes), len(pl.resv))
+	if len(pl.routes) != 0 || reservations(pl) != 0 {
+		t.Fatalf("delivery left %d routed packets, %d reservations", len(pl.routes), reservations(pl))
 	}
 	if col.Summarize(100).Delivered != 1 {
 		t.Fatal("stray replica re-delivered after the sweep")
@@ -287,4 +293,104 @@ func TestNotSessionConfined(t *testing.T) {
 	if _, ok := r.(routing.SessionConfined); ok {
 		t.Fatal("cgr.Router must not implement routing.SessionConfined: all routers of a run share one planner")
 	}
+}
+
+// TestOutOfRangeNodeIDs: node-indexed state is sized to the largest
+// window endpoint, and every lookup by an ID outside it must read as
+// "no windows, no node" rather than index out of range.
+func TestOutOfRangeNodeIDs(t *testing.T) {
+	meetings := []trace.Meeting{
+		{A: 0, B: 1, Time: 10, Bytes: 4096},
+		{A: 1, B: 2, Time: 20, Bytes: 4096},
+	}
+
+	t.Run("liveWindow outside the primed schedule", func(t *testing.T) {
+		pl := handPlanner(DefaultPolicy(), meetings)
+		for _, c := range []struct{ a, b packet.NodeID }{{7, 0}, {0, 7}, {-1, 0}, {0, 2}} {
+			if got := pl.liveWindow(c.a, c.b, 10); got != -1 {
+				t.Errorf("liveWindow(%d, %d, 10) = %d, want -1", c.a, c.b, got)
+			}
+		}
+		if got := pl.liveWindow(1, 0, 10); got != 0 {
+			t.Errorf("liveWindow(1, 0, 10) = %d, want window 0", got)
+		}
+	})
+
+	t.Run("plan and admission for a node with no windows", func(t *testing.T) {
+		pl := handPlanner(Policy{KPaths: 1, Copies: 1, AdmitFraction: 1}, meetings)
+		toFar := &packet.Packet{ID: 1, Src: 0, Dst: 9, Size: 100}
+		if pl.admitAllowed(toFar, 0) {
+			t.Error("admitAllowed toward a node with no windows: want false (zero residual access capacity)")
+		}
+		if hops := pl.plan(toFar, 0, 0, rankGenerated, nil); hops != nil {
+			t.Errorf("plan toward node 9: got %+v, want nil", hops)
+		}
+		fromFar := &packet.Packet{ID: 2, Src: 9, Dst: 2, Size: 100}
+		for _, from := range []packet.NodeID{9, -3} {
+			if hops := pl.plan(fromFar, from, 0, rankGenerated, nil); hops != nil {
+				t.Errorf("plan from node %d: got %+v, want nil", from, hops)
+			}
+		}
+		self := &packet.Packet{ID: 3, Src: 9, Dst: 9, Size: 100}
+		if hops := pl.plan(self, 9, 0, rankGenerated, nil); hops == nil || len(hops) != 0 {
+			t.Errorf("plan from the destination itself: got %+v, want an empty route", hops)
+		}
+		pl.spread(fromFar, 9, 0)
+		if len(pl.routes) != 0 {
+			t.Errorf("spread from a node with no windows committed %d routes", len(pl.routes))
+		}
+	})
+
+	t.Run("register above every window endpoint", func(t *testing.T) {
+		pl := handPlanner(DefaultPolicy(), meetings)
+		far := &routing.Node{ID: 40, Store: buffer.New(0)}
+		pl.register(far)
+		pl.register(&routing.Node{ID: -2, Store: buffer.New(0)})
+		if pl.node(40) != far {
+			t.Fatal("node 40 not registered")
+		}
+		if pl.node(39) != nil || pl.node(-2) != nil || pl.node(41) != nil {
+			t.Error("unregistered IDs must read as nil")
+		}
+		// An off-plan transfer out of the far node drops its copy; the
+		// unregistered receiver is skipped.
+		p := &packet.Packet{ID: 5, Src: 40, Dst: 2, Size: 100}
+		far.Store.Insert(&buffer.Entry{P: p}, nil)
+		pl.transferred(p.ID, 40, 41)
+		if far.Store.Has(p.ID) {
+			t.Error("off-plan transfer left the sender's copy at node 40")
+		}
+		pl.delivered(p.ID)
+		pl.transferred(p.ID, 41, 40)
+	})
+
+	t.Run("negative window endpoint", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("a window with a negative endpoint must be rejected at prime")
+			}
+		}()
+		handPlanner(DefaultPolicy(), []trace.Meeting{{A: -1, B: 1, Time: 10, Bytes: 4096}})
+	})
+
+	t.Run("run with a windowless node", func(t *testing.T) {
+		// Node 9 appears only in the workload: it is attached above
+		// every window endpoint, and both its packet and the packet
+		// addressed to it are unroutable.
+		sched := &trace.Schedule{Duration: 100, Meetings: meetings}
+		w := packet.Workload{
+			{ID: 1, Src: 0, Dst: 2, Size: 1024},
+			{ID: 2, Src: 9, Dst: 2, Size: 1024},
+			{ID: 3, Src: 0, Dst: 9, Size: 1024},
+		}
+		for _, pol := range []Policy{DefaultPolicy(), {KPaths: 4, Copies: 3, AdmitFraction: 1}} {
+			col := routing.Run(routing.Scenario{
+				Schedule: sched, Workload: w, Factory: NewPolicy(pol), Cfg: routing.Config{}, Seed: 1,
+			})
+			if !col.IsDelivered(1) || col.IsDelivered(2) || col.IsDelivered(3) {
+				t.Errorf("policy %+v: delivered (1, 2, 3) = (%v, %v, %v), want (true, false, false)",
+					pol, col.IsDelivered(1), col.IsDelivered(2), col.IsDelivered(3))
+			}
+		}
+	})
 }
