@@ -216,17 +216,22 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 func BenchmarkQueueIndexBuild(b *testing.B) {
 	store := buffer.New(0)
 	r := rand.New(rand.NewSource(1))
+	var probe *packet.Packet
 	for i := 0; i < 2000; i++ {
-		store.Insert(&buffer.Entry{P: &packet.Packet{
+		p := &packet.Packet{
 			ID: packet.ID(i), Dst: packet.NodeID(r.Intn(20)), Size: 1024,
 			Created: r.Float64() * 1000,
-		}}, nil)
+		}
+		if i == 1000 {
+			probe = p
+		}
+		store.Insert(&buffer.Entry{P: p}, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := core.NewQueueIndex(store)
-		_ = idx.BytesAhead(1000)
+		_ = idx.BytesAhead(probe)
 	}
 }
 

@@ -68,6 +68,9 @@ type PacketMeta struct {
 	Replicas []ReplicaEstimate
 	// Updated is the latest local-knowledge change, for delta encoding.
 	Updated float64
+	// logPos is the metaLog index of the packet's latest changelog
+	// event, -1 for none. NoteReplica, the only metaLog writer, keeps it.
+	logPos int
 }
 
 // replica returns the index of holder's entry in m.Replicas and whether
@@ -170,19 +173,20 @@ type State struct {
 	// per-contact gossip loop does not re-sort the owner set.
 	tableOwners []packet.NodeID
 
-	// ackLog and metaLog are time-ordered changelogs so delta
-	// exchanges scan only what changed since the last exchange with a
-	// peer, not the whole state (which grows with every packet ever
-	// seen).
+	// ackLog and metaLog are changelogs so delta exchanges touch only
+	// what changed since the last exchange with a peer, not the whole
+	// state (which grows with every packet ever seen). ackLog is
+	// time-ordered; metaLog is not (see metaChangedFor).
 	ackLog  []logEvent
 	metaLog []logEvent
 	// ackScratch/metaScratch are reused result buffers for the delta
-	// queries above (one exchange runs at a time per node); seen is the
-	// epoch-stamped dedup set metaChangedSince reuses across exchanges.
+	// queries above (one exchange runs at a time per node); dstSeen is
+	// the epoch-stamped destination set inventoryCost reuses, indexed
+	// by zigzag-encoded destination.
 	ackScratch  []packet.ID
 	metaScratch []*PacketMeta
-	seen        map[packet.ID]uint64
-	seenEpoch   uint64
+	dstSeen     []uint64
+	dstEpoch    uint64
 
 	// metaVer counts ack/replica-metadata mutations; RAPID's estimate
 	// cache compares it instead of re-reading the state every contact.
@@ -209,13 +213,18 @@ type logEvent struct {
 	id packet.ID
 }
 
-// appendLog keeps events time-ordered (simulation time is monotone).
+// appendLog appends one event. Events are stamped with the time the
+// knowledge was produced, which keeps ackLog time-ordered but not
+// metaLog: an exchange relays third-party replica records under their
+// original, older stamps.
 func appendLog(log []logEvent, t float64, id packet.ID) []logEvent {
 	return append(log, logEvent{t: t, id: id})
 }
 
-// eventsAfter returns log entries with t > since.
-func eventsAfter(log []logEvent, since float64) []logEvent {
+// logStart binary-searches for the first entry with t > since, as if
+// the log were time-ordered. On metaLog it is not, so entries before
+// the returned index may still be newer than since.
+func logStart(log []logEvent, since float64) int {
 	lo, hi := 0, len(log)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -225,7 +234,7 @@ func eventsAfter(log []logEvent, since float64) []logEvent {
 			hi = mid
 		}
 	}
-	return log[lo:]
+	return lo
 }
 
 // NewState returns an empty control state for node self with an h-hop
@@ -342,14 +351,6 @@ func (s *State) IsAcked(id packet.ID) bool {
 	return ok
 }
 
-// AckCount returns the number of known-delivered packets.
-func (s *State) AckCount() int {
-	if s.global != nil {
-		return len(s.global.acked)
-	}
-	return len(s.acked)
-}
-
 // NoteReplica records (or refreshes) knowledge that `holder` carries a
 // replica with the given delivery-delay estimate.
 func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float64) {
@@ -362,44 +363,26 @@ func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float6
 	}
 	m := s.meta[item.ID]
 	if m == nil {
-		m = &PacketMeta{
-			ID: item.ID, Dst: item.Dst, Size: item.Size,
-			Created: item.Created, Deadline: item.Deadline,
-		}
+		m = newPacketMeta(item)
 		s.meta[item.ID] = m
 	}
 	// Self-held replicas ride inventories, not the third-party gossip
 	// log; immaterial delay wiggles are not worth re-flooding either.
 	if m.upsertReplica(holder, item.Delay, now) && holder != s.self {
 		m.Updated = now
+		m.logPos = len(s.metaLog)
 		s.metaLog = appendLog(s.metaLog, now, item.ID)
 	}
 	s.metaVer++
 }
 
-// DropReplica forgets that holder carries the packet (used when a node
-// evicts a replica it previously announced).
-func (s *State) DropReplica(id packet.ID, holder packet.NodeID, now float64) {
-	if s.global != nil {
-		if m := s.global.meta[id]; m != nil {
-			m.removeReplica(holder)
-			m.Updated = now
-			s.global.metaVer++
-		}
-		return
-	}
-	if m := s.meta[id]; m != nil {
-		m.removeReplica(holder)
-		m.Updated = now
-		s.metaLog = appendLog(s.metaLog, now, id)
-		s.metaVer++
-	}
-}
-
-// removeReplica drops holder's entry if present.
-func (m *PacketMeta) removeReplica(holder packet.NodeID) {
-	if i, ok := m.replica(holder); ok {
-		m.Replicas = append(m.Replicas[:i], m.Replicas[i+1:]...)
+// newPacketMeta returns empty replica metadata for an inventory item's
+// packet.
+func newPacketMeta(item InventoryItem) *PacketMeta {
+	return &PacketMeta{
+		ID: item.ID, Dst: item.Dst, Size: item.Size,
+		Created: item.Created, Deadline: item.Deadline,
+		logPos: -1,
 	}
 }
 
@@ -466,10 +449,7 @@ func NewGlobal() *Global {
 func (g *Global) note(item InventoryItem, holder packet.NodeID, now float64) {
 	m := g.meta[item.ID]
 	if m == nil {
-		m = &PacketMeta{
-			ID: item.ID, Dst: item.Dst, Size: item.Size,
-			Created: item.Created, Deadline: item.Deadline,
-		}
+		m = newPacketMeta(item)
 		g.meta[item.ID] = m
 	}
 	m.upsertReplica(holder, item.Delay, now)
@@ -544,11 +524,7 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 		from, to *State
 		since    float64
 	}{{a, b, sinceA}, {b, a, sinceB}} {
-		ids := pair.from.acksSince(pair.since)
-		for _, id := range ids {
-			if pair.to.IsAcked(id) {
-				continue
-			}
+		for _, id := range pair.from.acksSince(pair.since, pair.to) {
 			if !spend(AckRecordBytes) {
 				return finishExchange(a, b, now, res)
 			}
@@ -584,13 +560,7 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 		if len(dir.inv) == 0 {
 			continue
 		}
-		dsts := map[packet.NodeID]bool{}
-		for _, it := range dir.inv {
-			dsts[it.Dst] = true
-		}
-		cost := int64(len(dir.inv)*BloomBitsPerPacket+7)/8 +
-			int64(len(dsts))*QueueDigestBytesPerDst
-		if !spend(cost) {
+		if !spend(dir.from.inventoryCost(dir.inv)) {
 			return finishExchange(a, b, now, res)
 		}
 		for _, it := range dir.inv {
@@ -635,17 +605,12 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 	// would swamp the channel (and the paper's 0.02%-of-bandwidth
 	// budget) with records no utility computation reads.
 	if !opts.LocalOnly {
-		idsA := inventoryIDs(invA)
-		idsB := inventoryIDs(invB)
 		for _, dir := range []struct {
 			from, to *State
-			toIDs    map[packet.ID]bool
+			toInv    []InventoryItem
 			since    float64
-		}{{a, b, idsB, sinceA}, {b, a, idsA, sinceB}} {
-			for _, m := range dir.from.metaChangedSince(dir.since) {
-				if !dir.toIDs[m.ID] {
-					continue
-				}
+		}{{a, b, invB, sinceA}, {b, a, invA, sinceB}} {
+			for _, m := range dir.from.metaChangedFor(dir.toInv, dir.since) {
 				for _, rep := range m.Replicas {
 					if rep.Holder == dir.from.self || rep.Holder == dir.to.self {
 						continue // covered by inventories
@@ -737,54 +702,73 @@ func finishExchange(a, b *State, now float64, res Result) Result {
 	return res
 }
 
-// acksSince returns ack IDs learned after `since`, sorted for
-// determinism. The changelog makes this O(changed), not O(all acks);
-// the returned slice is a reused scratch valid until the next call.
-func (s *State) acksSince(since float64) []packet.ID {
-	evs := eventsAfter(s.ackLog, since)
+// acksSince returns the IDs of acks learned after `since` that peer
+// does not yet hold, sorted for determinism. The changelog makes this
+// O(changed), not O(all acks); the returned slice is a reused scratch
+// valid until the next call. Filtering before the sort leaves the
+// order, and so the truncation point under a byte cap, unchanged: ack
+// IDs are unique per log.
+func (s *State) acksSince(since float64, peer *State) []packet.ID {
 	out := s.ackScratch[:0]
-	for _, ev := range evs {
-		out = append(out, ev.id)
+	for _, ev := range s.ackLog[logStart(s.ackLog, since):] {
+		if !peer.IsAcked(ev.id) {
+			out = append(out, ev.id)
+		}
 	}
 	slices.Sort(out)
 	s.ackScratch = out
 	return out
 }
 
-// metaChangedSince returns metadata entries updated after `since`,
-// sorted by packet ID, deduplicated from the changelog. The returned
-// slice is a reused scratch valid until the next call. The dedup set
-// is a reused epoch-stamped map — allocating a fresh map per exchange
-// dominated mega-scale delta cost, and the changelog is too
-// duplicate-heavy for sort-based dedup to win.
-func (s *State) metaChangedSince(since float64) []*PacketMeta {
-	evs := eventsAfter(s.metaLog, since)
-	s.seenEpoch++
-	if s.seen == nil {
-		s.seen = make(map[packet.ID]uint64)
+// inventoryCost prices one inventory announcement: a Bloom digest over
+// its packets plus one queue digest per distinct destination. The
+// destination set is the reused dstSeen scratch, stamped with a fresh
+// epoch per call.
+func (s *State) inventoryCost(inv []InventoryItem) int64 {
+	s.dstEpoch++
+	if s.dstEpoch == 0 { // wrapped: old stamps could collide
+		clear(s.dstSeen)
+		s.dstEpoch = 1
 	}
-	out := s.metaScratch[:0]
-	for _, ev := range evs {
-		if s.seen[ev.id] == s.seenEpoch {
-			continue
+	dsts := 0
+	for _, it := range inv {
+		// Zigzag: 0, -1, 1, -2, ... map to 0, 1, 2, 3, ... so negative
+		// destinations count as distinct values too.
+		i := 2 * int(it.Dst)
+		if it.Dst < 0 {
+			i = -i - 1
 		}
-		s.seen[ev.id] = s.seenEpoch
-		if m := s.meta[ev.id]; m != nil && m.Updated > since {
+		if i >= len(s.dstSeen) {
+			s.dstSeen = append(s.dstSeen, make([]uint64, i+1-len(s.dstSeen))...)
+		}
+		if s.dstSeen[i] != s.dstEpoch {
+			s.dstSeen[i] = s.dstEpoch
+			dsts++
+		}
+	}
+	return int64(len(inv)*BloomBitsPerPacket+7)/8 + int64(dsts)*QueueDigestBytesPerDst
+}
+
+// metaChangedFor returns, sorted by packet ID, the metadata entries
+// for packets of the receiver's inventory inv that have a changelog
+// event in metaLog[logStart(since):] and were updated after `since`.
+// That is exactly the set a scan of those changelog events would
+// select: a packet has an event there iff its latest event (logPos)
+// does. The returned slice is a reused scratch valid until the next
+// call.
+func (s *State) metaChangedFor(inv []InventoryItem, since float64) []*PacketMeta {
+	lo := logStart(s.metaLog, since)
+	out := s.metaScratch[:0]
+	for _, it := range inv {
+		if m := s.meta[it.ID]; m != nil && m.Updated > since && m.logPos >= lo {
 			out = append(out, m)
 		}
 	}
 	slices.SortFunc(out, func(a, b *PacketMeta) int { return cmp.Compare(a.ID, b.ID) })
+	// An inventory may name a packet twice; send its records once.
+	out = slices.CompactFunc(out, func(a, b *PacketMeta) bool { return a == b })
 	s.metaScratch = out
 	return out
-}
-
-// inventoryIDs collects the packet IDs of an inventory.
-func inventoryIDs(inv []InventoryItem) map[packet.ID]bool {
-	ids := make(map[packet.ID]bool, len(inv))
-	for _, it := range inv {
-		ids[it.ID] = true
-	}
-	return ids
 }
 
 // materialDelayChange reports whether a delay estimate moved enough to
@@ -799,27 +783,6 @@ func materialDelayChange(old, new float64) bool {
 	}
 	base := math.Max(math.Abs(old), 1e-9)
 	return math.Abs(new-old)/base > 0.25
-}
-
-// CombinedDelay applies Eq. 8/9: the expected remaining delay A(i) given
-// independent per-replica expected direct-delivery delays, under the
-// exponential approximation — the reciprocal of the summed rates.
-// Replicas with non-positive or infinite delay estimates contribute
-// nothing (unreachable holders). Returns +Inf when no replica can
-// deliver.
-func CombinedDelay(delays []float64) float64 {
-	rate := 0.0
-	for _, d := range delays {
-		if d > 0 && !math.IsInf(d, 1) {
-			rate += 1 / d
-		} else if d == 0 {
-			return 0 // a replica is already at the destination
-		}
-	}
-	if rate == 0 {
-		return math.Inf(1)
-	}
-	return 1 / rate
 }
 
 // DeliveryProb applies Eq. 7 to the deadline metric: the probability

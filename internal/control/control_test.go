@@ -195,16 +195,6 @@ func TestAckClearsMetadataAndBlocksReplicas(t *testing.T) {
 	}
 }
 
-func TestDropReplica(t *testing.T) {
-	a, _ := twoStates()
-	a.NoteReplica(InventoryItem{ID: 7, Dst: 5, Size: 1, Delay: 10}, 3, 1)
-	a.DropReplica(7, 3, 2)
-	if a.ReplicaCount(7) != 0 {
-		t.Error("replica not dropped")
-	}
-	a.DropReplica(99, 3, 2) // unknown packet: no-op
-}
-
 func TestAvgTransferPropagation(t *testing.T) {
 	a, b := twoStates()
 	a.ObserveTransfer(1000)
@@ -256,27 +246,6 @@ func TestGlobalChannel(t *testing.T) {
 	}
 	if !a.Global() {
 		t.Error("Global() must report true")
-	}
-}
-
-func TestCombinedDelay(t *testing.T) {
-	if got := CombinedDelay(nil); !math.IsInf(got, 1) {
-		t.Errorf("no replicas: %v want +Inf", got)
-	}
-	if got := CombinedDelay([]float64{100}); got != 100 {
-		t.Errorf("single replica: %v want 100", got)
-	}
-	// Two replicas at 100 each halve the delay (Eq. 8 with k=2, n=1).
-	if got := CombinedDelay([]float64{100, 100}); got != 50 {
-		t.Errorf("two replicas: %v want 50", got)
-	}
-	// Unreachable replicas contribute nothing.
-	if got := CombinedDelay([]float64{100, math.Inf(1), 0.0 - 1}); got != 100 {
-		t.Errorf("degenerate replicas: %v want 100", got)
-	}
-	// Delay 0 means already delivered.
-	if got := CombinedDelay([]float64{0, 50}); got != 0 {
-		t.Errorf("zero delay: %v", got)
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"rapid/internal/buffer"
@@ -23,9 +24,9 @@ import (
 // creation — the order in which they would be delivered directly"
 // (§4.1).
 type QueueIndex struct {
-	ahead map[packet.ID]int64
-	// byDst is indexed by the run's dense destination IDs (packet IDs
-	// are sparse, so ahead stays a map).
+	// byDst is indexed by the run's dense destination IDs; each queue
+	// is in (Created, ID) order, so a packet's entry is found by binary
+	// search and no per-packet map is needed.
 	byDst [][]qent
 }
 
@@ -42,43 +43,38 @@ type qent struct {
 // store maintains per-destination delivery-ordered queues, so the build
 // is a linear prefix-sum pass — no scan-and-sort of the whole buffer.
 func NewQueueIndex(store *buffer.Store) *QueueIndex {
-	idx := &QueueIndex{
-		ahead: make(map[packet.ID]int64, store.Len()),
-	}
-	store.EachQueue(func(dst packet.NodeID, q []*buffer.Entry) {
-		ents := make([]qent, len(q))
-		var cum int64
-		for i, e := range q {
-			idx.ahead[e.P.ID] = cum
-			ents[i] = qent{created: e.P.Created, id: e.P.ID, size: e.P.Size, cum: cum}
-			cum += e.P.Size
-		}
-		for len(idx.byDst) <= int(dst) {
-			idx.byDst = append(idx.byDst, nil)
-		}
-		idx.byDst[dst] = ents
-	})
+	idx := &QueueIndex{}
+	idx.rebuild(store)
 	return idx
 }
 
-// BytesAhead returns b(i) for a packet in the indexed buffer, or 0 for
-// an unknown packet (for hypothetical placements use HypoBytesAhead).
-func (q *QueueIndex) BytesAhead(id packet.ID) int64 { return q.ahead[id] }
+// rebuild re-indexes the store's current contents in place, reusing
+// the per-destination slices of the previous build.
+func (q *QueueIndex) rebuild(store *buffer.Store) {
+	for d := range q.byDst {
+		q.byDst[d] = q.byDst[d][:0]
+	}
+	store.EachQueue(func(dst packet.NodeID, es []*buffer.Entry) {
+		for len(q.byDst) <= int(dst) {
+			q.byDst = append(q.byDst, nil)
+		}
+		ents := slices.Grow(q.byDst[dst][:0], len(es))
+		var cum int64
+		for _, e := range es {
+			ents = append(ents, qent{created: e.P.Created, id: e.P.ID, size: e.P.Size, cum: cum})
+			cum += e.P.Size
+		}
+		q.byDst[dst] = ents
+	})
+}
 
-// HypoBytesAhead computes b(i) as if p were inserted into the indexed
-// buffer: the bytes of already-buffered packets to the same destination
-// that are older than p. Used when hypothesizing a replica at the
-// contact peer (the peer's queue as just announced). O(log q) per
-// query.
-func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
+// find returns p's destination queue and the position of the first
+// entry not older than p in it. O(log q).
+func (q *QueueIndex) find(p *packet.Packet) ([]qent, int) {
 	if p.Dst < 0 || int(p.Dst) >= len(q.byDst) {
-		return 0
+		return nil, 0
 	}
 	ents := q.byDst[p.Dst]
-	if len(ents) == 0 {
-		return 0
-	}
-	// First entry NOT older than p.
 	i := sort.Search(len(ents), func(j int) bool {
 		e := ents[j]
 		if e.created != p.Created {
@@ -86,6 +82,26 @@ func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
 		}
 		return e.id >= p.ID
 	})
+	return ents, i
+}
+
+// BytesAhead returns b(i) for a packet in the indexed buffer, or 0 for
+// a packet the index does not hold (for hypothetical placements use
+// HypoBytesAhead).
+func (q *QueueIndex) BytesAhead(p *packet.Packet) int64 {
+	if ents, i := q.find(p); i < len(ents) && ents[i].id == p.ID {
+		return ents[i].cum
+	}
+	return 0
+}
+
+// HypoBytesAhead computes b(i) as if p were inserted into the indexed
+// buffer: the bytes of already-buffered packets to the same destination
+// that are older than p. Used when hypothesizing a replica at the
+// contact peer (the peer's queue as just announced). O(log q) per
+// query.
+func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
+	ents, i := q.find(p)
 	// Everything before i is strictly older; if p itself is present at
 	// position i, its own bytes are not ahead of it.
 	if i < len(ents) && ents[i].id == p.ID {
@@ -202,13 +218,19 @@ func (est *Estimator) SelfDelay(p *packet.Packet, idx *QueueIndex) float64 {
 	if c, ok := est.selfCache[p.ID]; ok && c.epoch == est.selfEpoch && c.idx == idx {
 		return c.val
 	}
-	d := math.Inf(1)
-	if em := est.node.Ctl.Meet.Expected(est.node.ID, p.Dst); !math.IsInf(em, 1) {
-		b := est.node.Ctl.AvgTransferBytes(est.node.Net.Cfg.DefaultTransferBytes)
-		d = em * meetingsNeeded(idx.BytesAhead(p.ID), p.Size, b)
-	}
+	d := est.selfDelay(p, idx)
 	est.selfCache[p.ID] = cachedDelay{epoch: est.selfEpoch, idx: idx, val: d}
 	return d
+}
+
+// selfDelay is the uncached computation behind SelfDelay.
+func (est *Estimator) selfDelay(p *packet.Packet, idx *QueueIndex) float64 {
+	em := est.node.Ctl.Meet.Expected(est.node.ID, p.Dst)
+	if math.IsInf(em, 1) {
+		return em
+	}
+	b := est.node.Ctl.AvgTransferBytes(est.node.Net.Cfg.DefaultTransferBytes)
+	return em * meetingsNeeded(idx.BytesAhead(p), p.Size, b)
 }
 
 // PeerDelay hypothesizes the direct-delivery time of a replica of p
@@ -224,44 +246,25 @@ func (est *Estimator) PeerDelay(peer *routing.Node, peerIdx *QueueIndex, p *pack
 	return em * n
 }
 
-// KnownDelays gathers the per-replica expected direct-delivery delays
-// for packet p: the node's own fresh estimate plus the control plane's
-// estimates for remote replicas (stale by design — "the propagated
-// information may be stale", §4.2).
-func (est *Estimator) KnownDelays(p *packet.Packet, idx *QueueIndex) []float64 {
-	delays := []float64{est.SelfDelay(p, idx)}
-	for _, rep := range est.node.Ctl.Replicas(p.ID) {
-		if rep.Holder == est.node.ID {
-			continue // fresh local estimate already included
-		}
-		if rep.Holder == p.Dst {
-			continue // a replica at the destination is a delivery; ack pending
-		}
-		delays = append(delays, rep.Delay)
-	}
-	return delays
-}
-
 // RateSum returns Σ_j 1/d_j over p's replica delay estimates — the
 // combined exponential delivery rate of Eq. 7/8 — without allocating.
 // delivered reports a zero-delay replica (packet effectively at its
-// destination). This is the hot-path form of KnownDelays: it is
-// evaluated once per buffered packet per contact.
+// destination). It is evaluated once per buffered packet per contact.
 func (est *Estimator) RateSum(p *packet.Packet, idx *QueueIndex) (rate float64, delivered bool) {
 	est.sync()
 	if c, ok := est.rateCache[p.ID]; ok && c.epoch == est.rateEpoch && c.idx == idx {
 		return c.rate, c.delivered
 	}
-	rate, delivered = est.rateSum(p, idx)
+	rate, delivered = est.rateSum(p, est.SelfDelay(p, idx))
 	est.rateCache[p.ID] = cachedRate{
 		epoch: est.rateEpoch, idx: idx, rate: rate, delivered: delivered,
 	}
 	return rate, delivered
 }
 
-// rateSum is the uncached computation behind RateSum.
-func (est *Estimator) rateSum(p *packet.Packet, idx *QueueIndex) (rate float64, delivered bool) {
-	d := est.SelfDelay(p, idx)
+// rateSum is the uncached computation behind RateSum, given the node's
+// own direct-delivery delay d for p.
+func (est *Estimator) rateSum(p *packet.Packet, d float64) (rate float64, delivered bool) {
 	if d == 0 {
 		return 0, true
 	}
@@ -282,10 +285,8 @@ func (est *Estimator) rateSum(p *packet.Packet, idx *QueueIndex) (rate float64, 
 	return rate, false
 }
 
-// RemainingDelay returns A(i) = E[a(i)], the expected remaining time to
-// deliver p by any replica (Eq. 6/8).
-func (est *Estimator) RemainingDelay(p *packet.Packet, idx *QueueIndex) float64 {
-	rate, delivered := est.RateSum(p, idx)
+// remainingDelay turns a combined delivery rate into A(i) (Eq. 6/8).
+func remainingDelay(rate float64, delivered bool) float64 {
 	if delivered {
 		return 0
 	}
@@ -293,6 +294,12 @@ func (est *Estimator) RemainingDelay(p *packet.Packet, idx *QueueIndex) float64 
 		return math.Inf(1)
 	}
 	return 1 / rate
+}
+
+// RemainingDelay returns A(i) = E[a(i)], the expected remaining time to
+// deliver p by any replica (Eq. 6/8).
+func (est *Estimator) RemainingDelay(p *packet.Packet, idx *QueueIndex) float64 {
+	return remainingDelay(est.RateSum(p, idx))
 }
 
 // ExpectedDelay returns D(i) = T(i) + A(i) (Table 2).

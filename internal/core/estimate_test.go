@@ -29,24 +29,26 @@ func testNet(t *testing.T, metric Metric, bufBytes int64) (*routing.Network, *ro
 func TestQueueIndexOrdersOldestFirst(t *testing.T) {
 	s := buffer.New(0)
 	// Three packets to dst 5: created at 30, 10, 20 with sizes 100 each.
+	var ps []*packet.Packet
 	for i, created := range []float64{30, 10, 20} {
-		s.Insert(&buffer.Entry{P: &packet.Packet{
-			ID: packet.ID(i + 1), Dst: 5, Size: 100, Created: created,
-		}}, nil)
+		p := &packet.Packet{ID: packet.ID(i + 1), Dst: 5, Size: 100, Created: created}
+		ps = append(ps, p)
+		s.Insert(&buffer.Entry{P: p}, nil)
 	}
 	// A packet to another destination must not interfere.
-	s.Insert(&buffer.Entry{P: &packet.Packet{ID: 9, Dst: 7, Size: 500, Created: 0}}, nil)
+	other := &packet.Packet{ID: 9, Dst: 7, Size: 500, Created: 0}
+	s.Insert(&buffer.Entry{P: other}, nil)
 	idx := NewQueueIndex(s)
-	if got := idx.BytesAhead(2); got != 0 { // created 10: head
+	if got := idx.BytesAhead(ps[1]); got != 0 { // created 10: head
 		t.Errorf("head bytesAhead=%d want 0", got)
 	}
-	if got := idx.BytesAhead(3); got != 100 { // created 20
+	if got := idx.BytesAhead(ps[2]); got != 100 { // created 20
 		t.Errorf("mid bytesAhead=%d want 100", got)
 	}
-	if got := idx.BytesAhead(1); got != 200 { // created 30
+	if got := idx.BytesAhead(ps[0]); got != 200 { // created 30
 		t.Errorf("tail bytesAhead=%d want 200", got)
 	}
-	if got := idx.BytesAhead(9); got != 0 {
+	if got := idx.BytesAhead(other); got != 0 {
 		t.Errorf("other-dst bytesAhead=%d want 0", got)
 	}
 }
@@ -129,7 +131,7 @@ func TestSelfDelayUsesMeetingTimeAndQueue(t *testing.T) {
 	}
 }
 
-func TestKnownDelaysIncludesRemoteReplicas(t *testing.T) {
+func TestRemainingDelayIncludesRemoteReplicas(t *testing.T) {
 	_, n0, _ := testNet(t, AvgDelay, 0)
 	n0.Ctl.Meet.ObserveMeeting(2, 100)
 	n0.Ctl.ObserveTransfer(1000)
@@ -141,10 +143,6 @@ func TestKnownDelaysIncludesRemoteReplicas(t *testing.T) {
 		ID: p.ID, Dst: p.Dst, Size: p.Size, Created: p.Created, Delay: 50,
 	}, 1, 1)
 	idx := NewQueueIndex(n0.Store)
-	delays := r.est.KnownDelays(p, idx)
-	if len(delays) != 2 {
-		t.Fatalf("delays %v", delays)
-	}
 	// Combined: 1/(1/100 + 1/50) = 33.3…
 	a := r.est.RemainingDelay(p, idx)
 	want := 1.0 / (1.0/100 + 1.0/50)

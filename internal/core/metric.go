@@ -106,10 +106,13 @@ func marginalDeadline(rate float64, delivered bool, dY float64, p *packet.Packet
 
 // evictionUtility ranks buffered packets for deletion under storage
 // pressure: lowest utility evicted first (§3.4). The keys follow each
-// metric's utility directly.
+// metric's utility directly. It bypasses the estimator caches (the
+// uncached selfDelay and rateSum behind SelfDelay and RateSum): the
+// store version moves with every eviction, so anything cached during
+// the scan would be dropped at the next read, and the uncached values
+// are the same numbers.
 func evictionUtility(m Metric, est *Estimator, idx *QueueIndex, e *buffer.Entry, now, cap float64) float64 {
-	switch m {
-	case Deadline:
+	if m == Deadline {
 		if e.P.Deadline == 0 {
 			return 0
 		}
@@ -117,19 +120,20 @@ func evictionUtility(m Metric, est *Estimator, idx *QueueIndex, e *buffer.Entry,
 		if rem <= 0 {
 			return -1 // expired packets deleted before anything else
 		}
-		rate, delivered := est.RateSum(e.P, idx)
+		rate, delivered := est.rateSum(e.P, est.selfDelay(e.P, idx))
 		if delivered {
 			return 1
 		}
 		return -math.Expm1(-rate * rem)
-	case MaxDelay:
+	}
+	d := capDelay(e.P.Age(now)+remainingDelay(est.rateSum(e.P, est.selfDelay(e.P, idx))), cap)
+	if m == MaxDelay {
 		// Keeping the oldest, most-delayed packets is what minimizes
 		// the maximum: evict the packet with the smallest expected
 		// delay first.
-		return capDelay(est.ExpectedDelay(e.P, idx, now), cap)
-	default: // AvgDelay
-		// U = -D(i): the packet with the largest expected delay
-		// contributes least and is evicted first.
-		return -capDelay(est.ExpectedDelay(e.P, idx, now), cap)
+		return d
 	}
+	// AvgDelay: U = -D(i): the packet with the largest expected delay
+	// contributes least and is evicted first.
+	return -d
 }

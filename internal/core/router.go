@@ -21,7 +21,12 @@ type Router struct {
 	// by the store's version: Inventory, PlanReplication and the
 	// eviction utility of one contact share a single build, and a
 	// contact that leaves the buffer untouched reuses the previous one.
-	ownIdx    *QueueIndex
+	// A version change rebuilds it in place: nothing retains the own
+	// index across a store mutation (replica-delay snapshots pin peer
+	// indexes only), and the estimator's caches drop every entry when
+	// the store version moves. The zero value indexes a store at
+	// version 0, which has never been mutated and so is empty.
+	ownIdx    QueueIndex
 	ownIdxVer uint64
 
 	// peerIdx caches the contact peer's queue index between
@@ -44,6 +49,12 @@ type Router struct {
 	dqScratch   []*buffer.Entry
 	candScratch []repCand
 	planScratch []*buffer.Entry
+
+	// evictKey is evictionKey bound once at Attach; evictNow and
+	// evictIdx parametrize it for the insert in progress.
+	evictKey buffer.Utility
+	evictNow float64
+	evictIdx *QueueIndex
 }
 
 // repCand is one replication candidate during plan ranking.
@@ -76,6 +87,7 @@ func (r *Router) Metric() Metric { return r.metric }
 func (r *Router) Attach(n *routing.Node) {
 	r.node = n
 	r.est = NewEstimator(n)
+	r.evictKey = r.evictionKey
 }
 
 // Generate implements routing.Router: store the new packet as the
@@ -263,13 +275,13 @@ func (r *Router) SnapshotReplicaDelays(holder *routing.Node) routing.ReplicaDela
 }
 
 // ownIndex returns the queue index over the node's own buffer, rebuilt
-// only when the store has changed since the last build.
+// in place only when the store has changed since the last build.
 func (r *Router) ownIndex() *QueueIndex {
-	if v := r.node.Store.Version(); r.ownIdx == nil || r.ownIdxVer != v {
-		r.ownIdx = NewQueueIndex(r.node.Store)
+	if v := r.node.Store.Version(); r.ownIdxVer != v {
+		r.ownIdx.rebuild(r.node.Store)
 		r.ownIdxVer = v
 	}
-	return r.ownIdx
+	return &r.ownIdx
 }
 
 // peerIndex returns a queue index over the peer's buffer as it stands
@@ -297,17 +309,22 @@ func (r *Router) peerSnapshot(peer *routing.Node) *QueueIndex {
 	return r.peerIdx
 }
 
-// bufferUtility returns the eviction ranking for the current metric.
-// The queue index is resolved lazily on first use because eviction is
-// rare relative to insertion; the snapshot then stays fixed for the
-// whole insert (utilities must be pure with respect to the store).
+// bufferUtility returns the eviction ranking for the current metric,
+// evaluated at now. The queue index is resolved lazily on first use
+// because eviction is rare relative to insertion; the snapshot then
+// stays fixed for the whole insert (utilities must be pure with respect
+// to the store), as nothing calls ownIndex again until the insert
+// returns. The returned function is the router's one bound evictionKey,
+// so an insert allocates no closure.
 func (r *Router) bufferUtility(now float64) buffer.Utility {
-	var idx *QueueIndex
-	cap := delayCap(r.node.Net.Horizon)
-	return func(e *buffer.Entry) float64 {
-		if idx == nil {
-			idx = r.ownIndex()
-		}
-		return evictionUtility(r.metric, r.est, idx, e, now, cap)
+	r.evictNow, r.evictIdx = now, nil
+	return r.evictKey
+}
+
+// evictionKey is the utility bufferUtility hands to the store.
+func (r *Router) evictionKey(e *buffer.Entry) float64 {
+	if r.evictIdx == nil {
+		r.evictIdx = r.ownIndex()
 	}
+	return evictionUtility(r.metric, r.est, r.evictIdx, e, r.evictNow, delayCap(r.node.Net.Horizon))
 }
