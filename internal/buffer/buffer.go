@@ -275,20 +275,3 @@ func (s *Store) EachQueue(f func(dst packet.NodeID, q []*Entry)) {
 func (s *Store) Ack(id packet.ID) bool {
 	return s.Remove(id)
 }
-
-// DropExpired removes packets whose deadline has passed and returns the
-// victims. A source's own copy is retained: it can no longer contribute
-// to the deadline metric but remains the origin of record until acked
-// (matching the protocol's protection rule).
-func (s *Store) DropExpired(now float64) []*Entry {
-	var out []*Entry
-	for _, e := range s.order {
-		if !e.Own && e.P.Expired(now) {
-			out = append(out, e)
-		}
-	}
-	for _, e := range out {
-		s.Remove(e.P.ID)
-	}
-	return out
-}

@@ -197,14 +197,3 @@ func baseTraceConfig(p TraceParams) routing.Config {
 		DefaultTransferBytes: p.Diesel.MeanTransferBytes,
 	}
 }
-
-// baseSynthConfig is the runtime config for synthetic scenarios.
-func baseSynthConfig(p SynthParams) routing.Config {
-	return routing.Config{
-		BufferBytes:          p.BufferBytes,
-		Mode:                 routing.ControlInBand,
-		MetaFraction:         -1,
-		Hops:                 3,
-		DefaultTransferBytes: float64(p.TransferBytes),
-	}
-}

@@ -48,7 +48,6 @@ var forbiddenEngine = map[string]string{
 	"Rand":             "draws from an engine-owned random stream, which is shared mutable state across the wave",
 	"Run":              "re-enters the event loop",
 	"RunUntil":         "re-enters the event loop",
-	"Step":             "re-enters the event loop",
 	"SetWorkers":       "mutates engine configuration",
 	"Executed":         "touches engine bookkeeping",
 	"AfterEvent":       "touches engine bookkeeping",

@@ -13,4 +13,3 @@ func (e *Engine) Now() float64                             { return e.now }
 func (e *Engine) Schedule(at float64, ev any)              {}
 func (e *Engine) ScheduleFunc(at float64, f func(*Engine)) {}
 func (e *Engine) Rand(stream string) uint64                { return 0 }
-func (e *Engine) Step() bool                               { return false }

@@ -23,15 +23,10 @@ type Record struct {
 	Hops        int // path length of the first delivered copy
 }
 
-// PairKey identifies a source-destination flow.
-type PairKey struct {
-	Src, Dst packet.NodeID
-}
-
-// Delta is the channel-accounting portion of a Collector. Sessions of
-// the parallel engine accumulate into a private Delta during the
-// concurrent phase and fold it into the collector at commit, keeping
-// global counters in exact serial order.
+// Delta is the channel-accounting portion of a Collector. A point
+// session accumulates into a private Delta while it runs (concurrently,
+// under the parallel engine) and folds it into the collector at commit,
+// keeping global counters in exact serial order.
 type Delta struct {
 	Meetings         int
 	OpportunityBytes int64 // total contact capacity offered
@@ -74,6 +69,13 @@ type Collector struct {
 	// materialized run schedules upfront), so it is deliberately absent
 	// from Summary and from equivalence fingerprints.
 	EventsExecuted uint64
+	// EngineWorkers is the worker count routing.Run armed the engine
+	// with: n > 1 when it batched shard events across n goroutines, 1
+	// when it ran with one worker (requested, or a fallback for a run
+	// the parallel engine cannot prove independent). Like
+	// EventsExecuted it records which engine path ran, not an outcome,
+	// so it stays off Summary and off fingerprints.
+	EngineWorkers int
 }
 
 // New returns an empty collector.
@@ -216,30 +218,6 @@ func (c *Collector) Summarize(horizon float64) Summary {
 	return s
 }
 
-// PairDelays returns the average delivered-packet delay per
-// source-destination pair, the input to the paired t-test of §6.2.1.
-// Pairs with no delivered packets are omitted.
-func (c *Collector) PairDelays() map[PairKey]float64 {
-	acc := map[PairKey]*stat.Welford{}
-	for _, r := range c.order {
-		if !r.Delivered {
-			continue
-		}
-		k := PairKey{r.P.Src, r.P.Dst}
-		w := acc[k]
-		if w == nil {
-			w = &stat.Welford{}
-			acc[k] = w
-		}
-		w.Add(r.DeliveredAt - r.P.Created)
-	}
-	out := make(map[PairKey]float64, len(acc))
-	for k, w := range acc {
-		out[k] = w.Mean()
-	}
-	return out
-}
-
 // CohortFairness computes Jain's fairness index per parallel-packet
 // cohort (Fig. 15). Undelivered packets contribute their time in system
 // at the horizon. Cohort 0 (untagged packets) is skipped. The result is
@@ -264,19 +242,4 @@ func (c *Collector) CohortFairness(horizon float64) []float64 {
 	}
 	sort.Float64s(out)
 	return out
-}
-
-// Merge folds another collector's channel accounting and records into c
-// (used to aggregate multi-day trace experiments). Packet IDs must be
-// disjoint.
-func (c *Collector) Merge(o *Collector) {
-	for _, r := range o.order {
-		if _, ok := c.byID[r.P.ID]; ok {
-			panic("metrics: merging collectors with overlapping packet IDs")
-		}
-		c.byID[r.P.ID] = r
-		c.order = append(c.order, r)
-	}
-	c.Delta.Add(&o.Delta)
-	c.EventsExecuted += o.EventsExecuted
 }

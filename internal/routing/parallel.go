@@ -7,15 +7,17 @@ import (
 	"rapid/internal/sim"
 )
 
-// This file is the routing layer's side of the parallel engine
-// (sim.Engine.SetWorkers): the two hot event kinds of a constellation
-// run — point contact sessions and streamed packet creations — are
-// expressed as sim.ShardEvents keyed by their endpoint node IDs, so the
-// engine can batch consecutive independent events, execute them across
-// a worker pool, and commit their globally ordered effects in exact
-// serial pop order. Everything else (window opens/closes, churn
-// toggles) stays a plain event and acts as a flush barrier, so a
-// parallel run is byte-identical to a serial one.
+// This file holds the routing layer's shard events and the gate that
+// lets the engine batch them (sim.Engine.SetWorkers). Every run
+// schedules the same events whatever its worker count: the two hot
+// kinds of a constellation run — point contact sessions and packet
+// creations — are sim.ShardEvents keyed by their endpoint node IDs, and
+// everything else (window opens/closes, churn toggles) is a plain
+// event. With one worker the engine executes each event in place; with
+// more it batches consecutive independent shard events, executes them
+// across a worker pool and commits their globally ordered effects in
+// exact pop order, with plain events as flush barriers — so a parallel
+// run is byte-identical to a serial one.
 //
 // A session's mutable footprint is its two endpoint nodes: buffer
 // store, control state (meeting estimator, ack table, replica
@@ -72,7 +74,8 @@ func parallelEligible(sc Scenario, net *Network, ids []packet.NodeID) bool {
 
 // sessionEvent is a point contact session as a shard event: the session
 // body runs in a wave (it touches only the two endpoints), the
-// collector fold and opportunity hook run at commit.
+// collector fold and opportunity hook run at commit. Every point
+// contact of a run is one, whatever the worker count.
 type sessionEvent struct {
 	net   *Network
 	a, b  *Node
@@ -105,13 +108,15 @@ func (ev *sessionEvent) CommitShard(e *sim.Engine) {
 }
 
 // generateEvent is a packet creation as a shard event: the delivery
-// record is registered at collection time — on the engine goroutine, at
-// the event's exact pop position, so a session later in the same batch
-// that delivers the packet finds its record — and the router stores the
-// packet in a wave (source-node state only). Registering before
-// earlier batch-mates' waves run is invisible to them: no node holds
-// the packet until this event's own wave, so nothing can deliver or
-// query it, and an extra undelivered record reads like no record.
+// record is registered (and the OnGenerated hook fired) at collection
+// time — on the engine goroutine, at the event's exact pop position, so
+// a session later in the same batch that delivers the packet finds its
+// record — and the router stores the packet in a wave (source-node
+// state only). Registering before earlier batch-mates' waves run is
+// invisible to them: no node holds the packet until this event's own
+// wave, so nothing can deliver or query it, and an extra undelivered
+// record reads like no record. A hooked run never batches, so the hook
+// fires in exact creation order.
 type generateEvent struct {
 	net *Network
 	p   *packet.Packet
@@ -129,6 +134,9 @@ func (ev *generateEvent) ShardKeys() (int64, int64) {
 
 func (ev *generateEvent) OnCollect(e *sim.Engine) {
 	ev.net.Collector.Generated(ev.p)
+	if h := ev.net.hooks; h != nil && h.OnGenerated != nil {
+		h.OnGenerated(ev.p, ev.p.Created)
+	}
 }
 
 func (ev *generateEvent) ExecuteShard(e *sim.Engine) {

@@ -83,13 +83,14 @@ type Config struct {
 	// DefaultTransferBytes seeds B (expected opportunity size) before
 	// any transfer has been observed.
 	DefaultTransferBytes float64
-	// Workers selects the event engine's worker count: 0 or 1 run the
-	// historical serial loop, n > 1 spread independent same-batch
-	// contact sessions across n goroutines, negative uses one worker
-	// per available CPU. Output is byte-identical at every setting;
-	// runs the parallel engine cannot prove independent for (global
-	// control channel, Bernoulli loss, conformance hooks, routers not
-	// marked SessionConfined) silently fall back to serial.
+	// Workers selects the event engine's worker count: 0 or 1 execute
+	// every event in place, n > 1 spread independent same-batch contact
+	// sessions and creations across n goroutines, negative uses one
+	// worker per available CPU. The scheduled events are the same at
+	// every setting and so is the output; runs the parallel engine
+	// cannot prove independent for (global control channel, Bernoulli
+	// loss, conformance hooks, routers not marked SessionConfined) keep
+	// one worker. Collector.EngineWorkers records the count armed.
 	Workers int
 }
 
@@ -167,17 +168,6 @@ func (n *Network) transferLost(id packet.ID, from, to packet.NodeID, now float64
 		h.OnLost(id, from, to, now)
 	}
 	return true
-}
-
-// generated registers a packet's creation with the collector and fires
-// the telemetry hook. Serial generation paths route through it; the
-// parallel generateEvent calls the collector directly (a hooked run is
-// never parallel).
-func (n *Network) generated(p *packet.Packet, now float64) {
-	n.Collector.Generated(p)
-	if h := n.hooks; h != nil && h.OnGenerated != nil {
-		h.OnGenerated(p, now)
-	}
 }
 
 // Now returns the simulation clock.
@@ -449,17 +439,17 @@ func Run(sc Scenario) *metrics.Collector {
 		pr.PrimeSchedule(sched, net)
 	}
 
-	// Parallel engine: sessions and creations become shard events the
-	// engine may batch and execute across a pool, committing in serial
-	// order — byte-identical output, decided once per run.
-	par := false
+	// Every run schedules the same events; the worker count only decides
+	// whether the engine batches its shard events across a pool, and a
+	// run it cannot prove independent keeps one worker.
+	net.Collector.EngineWorkers = 1
 	if workers := resolveWorkers(sc.Cfg.Workers); workers > 1 && parallelEligible(sc, net, ids) {
-		par = true
 		engine.SetWorkers(workers)
+		net.Collector.EngineWorkers = workers
 	}
 
 	if sc.Source != nil {
-		startSourcePump(engine, net, sc.Source, par)
+		startSourcePump(engine, net, sc.Source)
 	} else {
 		// A lazy plan-driven run carries creations in bandWorkload so the
 		// materialized creations-before-contacts order holds at shared
@@ -470,23 +460,14 @@ func Run(sc Scenario) *metrics.Collector {
 			wband = bandWorkload
 		}
 		for _, p := range sc.Workload {
-			p := p
-			if par {
-				engine.ScheduleBand(p.Created, wband, &generateEvent{net: net, p: p})
-				continue
-			}
-			engine.ScheduleBandFunc(p.Created, wband, func(e *sim.Engine) {
-				net.generated(p, e.Now())
-				src := net.Node(p.Src)
-				src.Router.Generate(p, e.Now())
-			})
+			engine.ScheduleBand(p.Created, wband, &generateEvent{net: net, p: p})
 		}
 	}
 	if sched == nil {
 		// Streaming plan-driven run: a pump walks the compressed cursor
 		// and schedules each occurrence just in time, in the banded
 		// order matching the materialized path.
-		startPlanPump(engine, net, sc.Plan.Cursor(sc.MergePlanWindows), horizon, par)
+		startPlanPump(engine, net, sc.Plan.Cursor(sc.MergePlanWindows), horizon)
 		engine.RunUntil(horizon)
 		net.Collector.EventsExecuted = engine.Executed
 		return net.Collector
@@ -496,68 +477,25 @@ func Run(sc Scenario) *metrics.Collector {
 	// schedule order — stable identity per contact regardless of which
 	// contacts fail.
 	contactIdx := 0
-	for _, m := range sched.Meetings {
-		m := m
+	schedule := func(c trace.Contact) {
 		i := contactIdx
 		contactIdx++
 		if model != nil {
 			if model.ContactFails(i) {
-				continue
-			}
-			var ok bool
-			if m.Time, ok = jitterTime(m.Time, model.Jitter(i), horizon); !ok {
-				continue
-			}
-		}
-		if par {
-			engine.Schedule(m.Time, &sessionEvent{
-				net: net, a: net.Node(m.A), b: net.Node(m.B),
-				bytes: m.Bytes, at: m.Time,
-			})
-			continue
-		}
-		engine.ScheduleFunc(m.Time, func(e *sim.Engine) {
-			RunSession(net, net.Node(m.A), net.Node(m.B), m.Bytes)
-		})
-	}
-	for _, c := range sched.Contacts {
-		c := c
-		i := contactIdx
-		contactIdx++
-		if model != nil {
-			if model.ContactFails(i) {
-				continue
+				return
 			}
 			var ok bool
 			if c.Start, ok = jitterTime(c.Start, model.Jitter(i), horizon); !ok {
-				continue
+				return
 			}
 		}
-		if !c.Windowed() {
-			// Zero-duration contacts degrade to point meetings: the
-			// instantaneous session, byte for byte.
-			if par {
-				engine.Schedule(c.Start, &sessionEvent{
-					net: net, a: net.Node(c.A), b: net.Node(c.B),
-					bytes: c.Bytes, at: c.Start,
-				})
-				continue
-			}
-			engine.ScheduleFunc(c.Start, func(e *sim.Engine) {
-				RunSession(net, net.Node(c.A), net.Node(c.B), c.Bytes)
-			})
-			continue
-		}
-		// Never leave a window dangling past the horizon.
-		end := c.EndWithin(horizon)
-		var w *winContact
-		engine.ScheduleSpan(c.Start, end,
-			func(e *sim.Engine) { w = openWindow(net, c) },
-			func(e *sim.Engine) {
-				if w != nil {
-					closeWindow(net, w)
-				}
-			})
+		scheduleContact(engine, net, c, 0, horizon)
+	}
+	for _, m := range sched.Meetings {
+		schedule(trace.Contact{A: m.A, B: m.B, Start: m.Time, Bytes: m.Bytes})
+	}
+	for _, c := range sched.Contacts {
+		schedule(c)
 	}
 	// Node churn: expand each node's down intervals into toggle
 	// events. Going down cuts the node's live windows; a contact whose
@@ -568,7 +506,6 @@ func Run(sc Scenario) *metrics.Collector {
 		for _, id := range ids {
 			node := net.Nodes[id]
 			for _, iv := range model.DownIntervals(id, horizon) {
-				iv := iv
 				engine.ScheduleFunc(iv.Start, func(e *sim.Engine) {
 					node.Down = true
 					net.churnClose(node.ID)
@@ -584,6 +521,28 @@ func Run(sc Scenario) *metrics.Collector {
 	engine.RunUntil(horizon)
 	net.Collector.EventsExecuted = engine.Executed
 	return net.Collector
+}
+
+// scheduleContact schedules one transfer opportunity in the given
+// same-time band: a point contact as a session event, a windowed one as
+// an open/close span (never left dangling past the horizon). Zero-
+// duration contacts are point meetings, byte for byte.
+func scheduleContact(engine *sim.Engine, net *Network, c trace.Contact, band int32, horizon float64) {
+	if !c.Windowed() {
+		engine.ScheduleBand(c.Start, band, &sessionEvent{
+			net: net, a: net.Node(c.A), b: net.Node(c.B),
+			bytes: c.Bytes, at: c.Start,
+		})
+		return
+	}
+	var w *winContact
+	engine.ScheduleSpan(c.Start, c.EndWithin(horizon), band,
+		func(e *sim.Engine) { w = openWindow(net, c) },
+		func(e *sim.Engine) {
+			if w != nil {
+				closeWindow(net, w)
+			}
+		})
 }
 
 // jitterTime shifts a contact instant by its jitter draw. A contact
@@ -633,106 +592,63 @@ func participantIDs(sc Scenario) []packet.NodeID {
 }
 
 // startSourcePump schedules streamed packet creations on demand: one
-// pump event per distinct creation instant injects that instant's
-// packets (in source order) and re-arms at the next instant. Creations
-// run in bandWorkload, preserving the materialized path's
-// creations-before-contacts order at shared instants.
-//
-// In a parallel run the pump itself is inline (it only advances the
-// private source cursor and schedules) and each creation becomes a
-// shard event at the same instant and band: the creations pop right
-// after the pump, before any meeting, in source order — the exact
-// serial sequence — while staying batchable with neighboring sessions.
-func startSourcePump(engine *sim.Engine, net *Network, src packet.Source, par bool) {
+// inline pump event per distinct creation instant schedules that
+// instant's creations (in source order, in bandWorkload) and re-arms at
+// the next instant. The creations pop right after the pump, before any
+// meeting — preserving the materialized path's
+// creations-before-contacts order at shared instants — and stay
+// batchable with neighboring sessions. The pump itself only advances
+// the private source cursor and schedules, so it is inline.
+func startSourcePump(engine *sim.Engine, net *Network, src packet.Source) {
 	pending, ok := src.Next()
 	if !ok {
 		return
 	}
-	var pump func(e *sim.Engine)
-	arm := func(at float64) {
-		if par {
-			engine.ScheduleBand(at, bandWorkload, sim.InlineFunc(pump))
-			return
-		}
-		engine.ScheduleBandFunc(at, bandWorkload, pump)
-	}
+	var pump sim.InlineFunc
 	pump = func(e *sim.Engine) {
 		t := pending.Created
 		for {
-			p := pending
-			if par {
-				engine.ScheduleBand(p.Created, bandWorkload, &generateEvent{net: net, p: p})
-			} else {
-				net.generated(p, e.Now())
-				net.Node(p.Src).Router.Generate(p, e.Now())
-			}
+			engine.ScheduleBand(pending.Created, bandWorkload, &generateEvent{net: net, p: pending})
 			if pending, ok = src.Next(); !ok {
 				return
 			}
 			if pending.Created != t {
-				arm(pending.Created)
+				engine.ScheduleBand(pending.Created, bandWorkload, pump)
 				return
 			}
 		}
 	}
-	arm(pending.Created)
+	engine.ScheduleBand(pending.Created, bandWorkload, pump)
 }
 
 // startPlanPump schedules contact-plan occurrences on demand from the
-// compressed cursor: at each distinct occurrence instant the pump
-// schedules that instant's point meetings (bandMeeting) and window
+// compressed cursor: at each distinct occurrence instant the inline
+// pump schedules that instant's point meetings (bandMeeting) and window
 // spans (bandContact), then re-arms at the cursor's next instant.
 // Expanded-schedule memory never exists; the pending set is the cursor
 // heap plus the live windows.
-// In a parallel run the pump is inline and point meetings become shard
-// events; window spans keep plain events (they are flush barriers — a
-// window's open/close must see every earlier session applied).
-func startPlanPump(engine *sim.Engine, net *Network, cur *trace.PlanCursor, horizon float64, par bool) {
+func startPlanPump(engine *sim.Engine, net *Network, cur *trace.PlanCursor, horizon float64) {
 	pending, ok := cur.Next()
 	if !ok {
 		return
 	}
-	var pump func(e *sim.Engine)
-	arm := func(at float64) {
-		if par {
-			engine.ScheduleBand(at, bandPump, sim.InlineFunc(pump))
-			return
-		}
-		engine.ScheduleBandFunc(at, bandPump, pump)
-	}
+	var pump sim.InlineFunc
 	pump = func(e *sim.Engine) {
 		t := pending.Start
 		for {
-			c := pending
-			if c.Windowed() {
-				end := c.EndWithin(horizon)
-				var w *winContact
-				engine.ScheduleBandFunc(c.Start, bandContact, func(e *sim.Engine) {
-					w = openWindow(net, c)
-				})
-				engine.ScheduleBandFunc(end, bandContact, func(e *sim.Engine) {
-					if w != nil {
-						closeWindow(net, w)
-					}
-				})
-			} else if par {
-				engine.ScheduleBand(c.Start, bandMeeting, &sessionEvent{
-					net: net, a: net.Node(c.A), b: net.Node(c.B),
-					bytes: c.Bytes, at: c.Start,
-				})
-			} else {
-				engine.ScheduleBandFunc(c.Start, bandMeeting, func(e *sim.Engine) {
-					RunSession(net, net.Node(c.A), net.Node(c.B), c.Bytes)
-				})
+			band := int32(bandMeeting)
+			if pending.Windowed() {
+				band = bandContact
 			}
+			scheduleContact(engine, net, pending, band, horizon)
 			if pending, ok = cur.Next(); !ok {
 				return
 			}
 			if pending.Start != t {
-				arm(pending.Start)
+				engine.ScheduleBand(pending.Start, bandPump, pump)
 				return
 			}
 		}
 	}
-	arm(pending.Start)
+	engine.ScheduleBand(pending.Start, bandPump, pump)
 }

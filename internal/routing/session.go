@@ -41,14 +41,10 @@ type Session struct {
 // RunSession processes a meeting between nodes a and b with the given
 // transfer-opportunity size. A meeting with a churned-down endpoint
 // never happens: the dark radio neither forwards nor receives, so no
-// bytes move, nothing is observed, and no opportunity is accounted.
+// bytes move, nothing is observed, and no opportunity is accounted. It
+// executes the same sessionEvent a scheduled point contact does, now.
 func RunSession(net *Network, a, b *Node, bytes int64) {
-	s := beginSession(net, a, b, bytes, net.Now())
-	if s == nil {
-		return
-	}
-	s.run()
-	s.finish()
+	(&sessionEvent{net: net, a: a, b: b, bytes: bytes, at: net.Now()}).Execute(net.Engine)
 }
 
 // beginSession constructs a point session, or nil when a churned-down
@@ -69,6 +65,16 @@ func beginSession(net *Network, a, b *Node, bytes int64, now float64) *Session {
 // delivery records), which is the confinement the parallel engine's
 // conflict-free waves rely on.
 func (s *Session) run() {
+	s.open()
+	s.directDeliver(s.x, s.y)
+	s.directDeliver(s.y, s.x)
+	s.replicate()
+}
+
+// open is the start of every transfer opportunity, point or windowed:
+// meeting and opportunity accounting, then the control phase (metadata
+// exchange, ack purge, protocol gossip) charged against the budget.
+func (s *Session) open() {
 	s.stats.Meetings++
 	s.stats.OpportunityBytes += s.capacity
 
@@ -81,10 +87,6 @@ func (s *Session) run() {
 	s.purgeAcked(s.x)
 	s.purgeAcked(s.y)
 	s.gossip()
-
-	s.directDeliver(s.x, s.y)
-	s.directDeliver(s.y, s.x)
-	s.replicate()
 }
 
 // finish folds the session's accounting into the collector and fires
@@ -96,10 +98,6 @@ func (s *Session) finish() {
 		h.OnOpportunityDone(s.x.ID, s.y.ID, s.capacity, s.capacity-s.budget, false, s.now)
 	}
 }
-
-// Remaining returns the unspent byte budget (visible to routers that
-// want budget-aware planning).
-func (s *Session) Remaining() int64 { return s.budget }
 
 // exchangeMetadata runs the control-plane exchange and charges its
 // bytes against the opportunity.

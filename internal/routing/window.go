@@ -112,15 +112,7 @@ func openWindow(net *Network, c trace.Contact) *winContact {
 	// A window outlives its opening event and is always driven serially,
 	// so its accounting goes straight to the collector.
 	s.stats = &net.Collector.Delta
-	net.Collector.Meetings++
-	net.Collector.OpportunityBytes += capacity
-	x.Ctl.ObserveTransfer(capacity)
-	y.Ctl.ObserveTransfer(capacity)
-
-	s.exchangeMetadata()
-	s.purgeAcked(x)
-	s.purgeAcked(y)
-	s.gossip()
+	s.open()
 
 	w := &winContact{s: s, c: c, turnX: true}
 	w.dirX = copyEntries(x.Router.DirectQueue(y.ID, s.now))

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rapid/internal/routing"
 	"rapid/internal/scenario"
 )
 
@@ -30,7 +31,7 @@ func runFingerprint(s scenario.Scenario) string {
 // scenario run at Workers ∈ {1, 2, 8} is byte-identical — identical
 // summaries and identical per-packet records — whether the run actually
 // parallelizes (RAPID/epidemic point contacts, churned runs) or falls
-// back to the serial loop (CGR's shared planner, Bernoulli loss,
+// back to one worker (CGR's shared planner, Bernoulli loss,
 // windowed contacts between barriers). Disruption-enabled families
 // (lossy-constellation, churn-powerlaw) are part of the registry and
 // therefore of this sweep.
@@ -110,5 +111,49 @@ func TestWorkersOverride(t *testing.T) {
 	s.Config.Workers = 0
 	if rs := s.Materialize(); rs.Cfg.Workers != -1 {
 		t.Fatalf("process default Workers = %d, want -1", rs.Cfg.Workers)
+	}
+}
+
+// TestEngineWorkersReportsArmedPath pins Collector.EngineWorkers: it
+// records the worker count Run actually armed, so the engine path a run
+// took stays observable even though every path executes the same events.
+// A session-confined RAPID constellation run parallelizes; a CGR run
+// (shared per-run planner) and a hooked run keep one worker.
+func TestEngineWorkersReportsArmedPath(t *testing.T) {
+	p := metamorphicParams()
+	p.Protocols = []scenario.Proto{scenario.ProtoRapid, scenario.ProtoCGR}
+	scs, err := scenario.Expand("cgr-constellation", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byProto := map[scenario.Proto]scenario.Scenario{}
+	for _, s := range scs {
+		s.Config.Workers = 2
+		if _, ok := byProto[s.Protocol]; !ok {
+			byProto[s.Protocol] = s
+		}
+	}
+	rapid, ok := byProto[scenario.ProtoRapid]
+	if !ok {
+		t.Fatal("no RAPID scenario expanded")
+	}
+	cgr, ok := byProto[scenario.ProtoCGR]
+	if !ok {
+		t.Fatal("no CGR scenario expanded")
+	}
+	if col, _ := rapid.Execute(); col.EngineWorkers != 2 {
+		t.Errorf("RAPID at Workers=2: EngineWorkers = %d, want 2", col.EngineWorkers)
+	}
+	if col, _ := cgr.Execute(); col.EngineWorkers != 1 {
+		t.Errorf("CGR at Workers=2: EngineWorkers = %d, want 1", col.EngineWorkers)
+	}
+	hooked := rapid.Materialize()
+	hooked.Hooks = &routing.Hooks{}
+	if col := routing.Run(hooked); col.EngineWorkers != 1 {
+		t.Errorf("hooked RAPID at Workers=2: EngineWorkers = %d, want 1", col.EngineWorkers)
+	}
+	rapid.Config.Workers = 1
+	if col, _ := rapid.Execute(); col.EngineWorkers != 1 {
+		t.Errorf("RAPID at Workers=1: EngineWorkers = %d, want 1", col.EngineWorkers)
 	}
 }

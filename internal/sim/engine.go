@@ -12,6 +12,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"rapid/internal/shard"
@@ -30,8 +31,8 @@ type EventFunc func(e *Engine)
 // Execute implements Event.
 func (f EventFunc) Execute(e *Engine) { f(e) }
 
-// ShardEvent is an Event the parallel engine may batch with other shard
-// events and execute concurrently. Two shard events conflict when their
+// ShardEvent is an Event the engine may batch with other shard events
+// and execute concurrently when it runs with more than one worker. Two shard events conflict when their
 // key sets intersect; non-conflicting events must commute. The split
 // contract is:
 //
@@ -45,6 +46,15 @@ func (f EventFunc) Execute(e *Engine) { f(e) }
 // order, and is where globally ordered side effects (collector folds,
 // scheduling) belong. Events must carry their own timestamp if either
 // phase needs it.
+//
+// CommitShard may schedule, but under batching it runs after later
+// batch-mates were popped and the clock advanced to the latest of them.
+// An event it schedules must therefore sort after every ShardEvent that
+// follows the committer in the queue up to the next non-shard event;
+// otherwise batching reorders it or, if it lies before the clock,
+// panics. Follow-ups that sort between the batch and the barrier or
+// RunUntil deadline that ended it run in exact serial order: the loop
+// re-reads the queue after every flush.
 type ShardEvent interface {
 	Event
 	// ShardKeys returns the (at most two) shard identities the event
@@ -69,7 +79,7 @@ type CollectEvent interface {
 	OnCollect(e *Engine)
 }
 
-// InlineEvent marks an Event the parallel engine executes immediately
+// InlineEvent marks an Event a batching engine executes immediately
 // during batch collection, without flushing pending shard events first.
 // Only events whose effects are confined to the engine itself plus
 // event-private state (the lazy stream pumps: they advance a private
@@ -140,17 +150,16 @@ type Handle struct{ it *item }
 //
 // A cancel that fires from a position that serially precedes the
 // target — any event popped earlier while the target is still queued —
-// is exact in both engines: the serial loop skips the target at pop,
-// and the parallel loop's pop check does the same. The parallel loop
-// additionally honors cancels that land after the target was collected
-// into a pending batch but before its wave executes; the intended such
-// channel is an earlier batch-mate's CommitShard cancelling a
-// conflicting (shard-key-sharing) later event, which the serial loop
-// would likewise skip. Cancelling a batch-mate from a position that
-// serially *follows* it (an OnCollect or inline pump popped after the
-// target) violates the CollectEvent/InlineEvent contracts — the serial
-// engine has already run the target — and is suppressed on a
-// best-effort basis only.
+// is exact at every worker count: the loop skips the target at pop. A
+// batching loop additionally honors cancels that land after the target
+// was collected into a pending batch but before its wave executes; the
+// intended such channel is an earlier batch-mate's CommitShard
+// cancelling a conflicting (shard-key-sharing) later event, which an
+// unbatched loop would likewise skip at pop. Cancelling a batch-mate
+// from a position that serially *follows* it (an OnCollect or inline
+// pump popped after the target) violates the CollectEvent/InlineEvent
+// contracts — an unbatched loop has already run the target — and is
+// suppressed on a best-effort basis only.
 func (h Handle) Cancel() {
 	if h.it != nil {
 		h.it.dead = true
@@ -172,8 +181,8 @@ type Engine struct {
 	// instrumentation point conformance harnesses use to assert
 	// invariants (buffer occupancy, budget conservation) at event
 	// granularity without perturbing the event stream. Setting it
-	// disables the parallel path: the hook's contract is one callback
-	// per fully applied event, which batching would violate.
+	// disables batching: the hook's contract is one callback per fully
+	// applied event, which batching would violate.
 	AfterEvent func(*Engine)
 
 	workers int
@@ -241,90 +250,42 @@ func (s Span) Cancel() {
 	s.Close.Cancel()
 }
 
-// ScheduleSpan schedules onOpen at start and onClose at end, returning
-// handles to both. It panics if end precedes start (a window cannot
-// close before it opens) or start precedes the clock. Same-time spans
-// (start == end) are legal: the open event runs before the close event
-// by FIFO ordering.
-func (e *Engine) ScheduleSpan(start, end float64, onOpen, onClose func(*Engine)) Span {
+// ScheduleSpan schedules onOpen at start and onClose at end in the given
+// same-time band, returning handles to both. It panics if end precedes
+// start (a window cannot close before it opens) or start precedes the
+// clock. Same-time spans (start == end) are legal: the open event runs
+// before the close event by FIFO ordering.
+func (e *Engine) ScheduleSpan(start, end float64, band int32, onOpen, onClose func(*Engine)) Span {
 	if end < start {
 		panic(fmt.Sprintf("sim: span end %v before start %v", end, start))
 	}
 	return Span{
-		Open:  e.ScheduleFunc(start, onOpen),
-		Close: e.ScheduleFunc(end, onClose),
+		Open:  e.ScheduleBandFunc(start, band, onOpen),
+		Close: e.ScheduleBandFunc(end, band, onClose),
 	}
-}
-
-// Step executes the next pending event, returning false when the queue
-// is empty. Cancelled events are skipped silently.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		it := heap.Pop(&e.queue).(*item)
-		if it.dead {
-			continue
-		}
-		e.now = it.at
-		e.Executed++
-		it.ev.Execute(e)
-		if e.AfterEvent != nil {
-			e.AfterEvent(e)
-		}
-		return true
-	}
-	return false
 }
 
 // Run executes events until the queue empties.
-func (e *Engine) Run() {
-	if e.parallel() {
-		e.runParallelUntil(0, false)
-		return
-	}
-	for e.Step() {
-	}
-}
+func (e *Engine) Run() { e.run(math.Inf(1)) }
 
 // RunUntil executes events with time <= deadline, advancing the clock to
 // exactly deadline afterwards. Remaining events stay queued.
 func (e *Engine) RunUntil(deadline float64) {
-	if e.parallel() {
-		e.runParallelUntil(deadline, true)
-		return
-	}
-	for len(e.queue) > 0 {
-		// Peek.
-		next := e.queue[0]
-		if next.dead {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.Step()
-	}
+	e.run(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
 // SetWorkers sets the number of worker goroutines the engine may spread
-// conflict-free ShardEvent waves across. n <= 1 keeps the historical
-// fully serial loop. The parallel loop is byte-identical to the serial
-// one for any event mix honoring the ShardEvent/InlineEvent contracts.
+// conflict-free ShardEvent waves across. n <= 1 executes every event in
+// place. Output is byte-identical at every setting for any event mix
+// honoring the ShardEvent/InlineEvent contracts.
 func (e *Engine) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
 	e.workers = n
-}
-
-// Workers reports the configured worker count (0 and 1 both mean serial).
-func (e *Engine) Workers() int { return e.workers }
-
-func (e *Engine) parallel() bool {
-	return e.workers > 1 && e.AfterEvent == nil
 }
 
 // batchCap bounds how many consecutive ShardEvents are collected before
@@ -341,52 +302,55 @@ func (e *Engine) batchCap() int {
 	return c
 }
 
-// runParallelUntil is the batching counterpart of the Step loop. It
-// pops events in exact heap order, accumulating maximal runs of
+// run is the engine's only event loop. It pops events in exact heap
+// order and executes each in place — unless batching is on (workers > 1
+// and no AfterEvent hook), in which case it accumulates maximal runs of
 // consecutive ShardEvents (inline events execute immediately without
 // breaking a run); each run is partitioned into conflict-free waves,
 // executed across the pool, then committed serially in pop order. Any
-// other event is a flush barrier and runs serially in place, so the
-// total order of observable effects matches the serial engine exactly.
-func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
+// other event is a flush barrier, so the total order of observable
+// effects is the same at every worker count. After every flush the loop
+// re-reads the queue before it pops or stops: a commit may have
+// scheduled an event that now precedes the barrier or the deadline.
+func (e *Engine) run(deadline float64) {
+	batching := e.workers > 1 && e.AfterEvent == nil
 	limit := e.batchCap()
-	for len(e.queue) > 0 {
+	for {
+		if len(e.queue) == 0 || e.queue[0].at > deadline {
+			if len(e.batch) == 0 {
+				return
+			}
+			e.flushBatch()
+			continue
+		}
 		next := e.queue[0]
 		if next.dead {
 			heap.Pop(&e.queue)
 			continue
 		}
-		if bounded && next.at > deadline {
-			break
-		}
-		switch ev := next.ev.(type) {
-		case ShardEvent:
-			heap.Pop(&e.queue)
-			e.now = next.at
-			e.Executed++
-			if ce, ok := next.ev.(CollectEvent); ok {
-				ce.OnCollect(e)
-			}
-			e.batch = append(e.batch, next)
-			if len(e.batch) >= limit {
-				e.flushBatch()
-			}
-		case InlineEvent:
-			heap.Pop(&e.queue)
-			e.now = next.at
-			e.Executed++
-			ev.Execute(e)
-		default:
+		sev, batchable := next.ev.(ShardEvent)
+		batchable = batchable && batching
+		if _, inline := next.ev.(InlineEvent); !batchable && !inline && len(e.batch) > 0 {
 			e.flushBatch()
-			heap.Pop(&e.queue)
-			e.now = next.at
-			e.Executed++
-			ev.Execute(e)
+			continue
 		}
-	}
-	e.flushBatch()
-	if bounded && e.now < deadline {
-		e.now = deadline
+		heap.Pop(&e.queue)
+		e.now = next.at
+		e.Executed++
+		if !batchable {
+			next.ev.Execute(e)
+			if e.AfterEvent != nil {
+				e.AfterEvent(e)
+			}
+			continue
+		}
+		if ce, ok := sev.(CollectEvent); ok {
+			ce.OnCollect(e)
+		}
+		e.batch = append(e.batch, next)
+		if len(e.batch) >= limit {
+			e.flushBatch()
+		}
 	}
 }
 
@@ -395,7 +359,7 @@ func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 // Cancellation stays live across the flush: an item cancelled after
 // collection — the contract-legal channel is an earlier batch-mate's
 // CommitShard — is skipped in both phases and uncounted from Executed
-// (collection counted it eagerly), exactly as the serial loop skips a
+// (collection counted it eagerly), exactly as an unbatched loop skips a
 // dead event at pop. To make that skip effective before the target
 // runs, waves execute one at a time and, between waves, the maximal
 // pop-order prefix of items whose wave has already executed is
@@ -405,7 +369,7 @@ func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 // itself stalled behind an even later-wave pop predecessor. Commits
 // still run serially in exact pop order; running a commit before the
 // waves of later pops is *more* serial-faithful, not less, since the
-// serial loop commits event i before executing any j > i. The dead
+// unbatched loop commits event i before executing any j > i. The dead
 // check inside the wave closure is race-free: dead flags are written
 // on the engine goroutine between waves, and shard.Run's spawn/join
 // orders those writes before the next wave's reads.

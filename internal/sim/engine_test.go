@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -181,21 +182,26 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 }
 
-func TestStepReturnsFalseOnEmpty(t *testing.T) {
+func TestRunOnEmptyQueue(t *testing.T) {
 	e := New(1)
-	if e.Step() {
-		t.Error("Step on empty queue must return false")
+	e.Run()
+	if e.Executed != 0 || e.Now() != 0 {
+		t.Errorf("Run on empty queue: executed %d, now %v", e.Executed, e.Now())
+	}
+	e.RunUntil(7)
+	if e.Now() != 7 {
+		t.Errorf("RunUntil on empty queue left clock at %v, want 7", e.Now())
 	}
 }
 
 func TestScheduleSpan(t *testing.T) {
 	e := New(1)
 	var log []string
-	e.ScheduleSpan(10, 20,
+	e.ScheduleSpan(10, 20, 0,
 		func(*Engine) { log = append(log, "open") },
 		func(*Engine) { log = append(log, "close") })
 	// A same-time span opens before it closes (FIFO among equal times).
-	e.ScheduleSpan(15, 15,
+	e.ScheduleSpan(15, 15, 0,
 		func(*Engine) { log = append(log, "open2") },
 		func(*Engine) { log = append(log, "close2") })
 	e.Run()
@@ -216,16 +222,30 @@ func TestScheduleSpanInvertedPanics(t *testing.T) {
 			t.Fatal("span closing before it opens must panic")
 		}
 	}()
-	New(1).ScheduleSpan(20, 10, func(*Engine) {}, func(*Engine) {})
+	New(1).ScheduleSpan(20, 10, 0, func(*Engine) {}, func(*Engine) {})
 }
 
 func TestSpanCancel(t *testing.T) {
 	e := New(1)
 	ran := 0
-	sp := e.ScheduleSpan(5, 6, func(*Engine) { ran++ }, func(*Engine) { ran++ })
+	sp := e.ScheduleSpan(5, 6, 0, func(*Engine) { ran++ }, func(*Engine) { ran++ })
 	sp.Cancel()
 	e.Run()
 	if ran != 0 {
 		t.Fatalf("cancelled span still ran %d events", ran)
+	}
+}
+
+func TestScheduleSpanBand(t *testing.T) {
+	e := New(1)
+	var log []string
+	e.ScheduleFunc(10, func(*Engine) { log = append(log, "plain") })
+	// A lower band runs first among same-instant events, at both ends.
+	e.ScheduleSpan(10, 10, -1,
+		func(*Engine) { log = append(log, "open") },
+		func(*Engine) { log = append(log, "close") })
+	e.Run()
+	if fmt.Sprint(log) != "[open close plain]" {
+		t.Fatalf("log %v", log)
 	}
 }

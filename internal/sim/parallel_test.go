@@ -254,7 +254,7 @@ func TestParallelBatchedCancelSuppressed(t *testing.T) {
 }
 
 // TestParallelAfterEventFallsBack pins the gate: an engine with an
-// AfterEvent hook must use the serial loop even when workers are set.
+// AfterEvent hook must not batch even when workers are set.
 func TestParallelAfterEventFallsBack(t *testing.T) {
 	e := New(1)
 	e.SetWorkers(8)
@@ -268,5 +268,72 @@ func TestParallelAfterEventFallsBack(t *testing.T) {
 	e.Run()
 	if count != 5 {
 		t.Fatalf("AfterEvent fired %d times, want 5", count)
+	}
+}
+
+// followUpAtCommit is a cellEvent whose commit phase schedules a plain
+// follow-up event — the contract-legal way a shard event feeds work
+// back into the queue.
+type followUpAtCommit struct {
+	cellEvent
+	at  float64
+	log *[]string
+}
+
+func (ev *followUpAtCommit) Execute(e *Engine) {
+	ev.ExecuteShard(e)
+	ev.CommitShard(e)
+}
+
+func (ev *followUpAtCommit) CommitShard(e *Engine) {
+	e.ScheduleFunc(ev.at, func(e *Engine) {
+		*ev.log = append(*ev.log, fmt.Sprintf("follow-up@%v", e.Now()))
+	})
+}
+
+// runCommitSchedule schedules two shard events at t=1, each committing
+// a follow-up at t=1.5, and a barrier at t=2, then runs until deadline
+// (Run when deadline is negative). It returns the execution log.
+func runCommitSchedule(workers int, deadline float64) []string {
+	cells := make([]int, 4)
+	var audit, log []string
+	e := New(1)
+	e.SetWorkers(workers)
+	for i := 0; i < 2; i++ {
+		e.Schedule(1, &followUpAtCommit{
+			cellEvent: cellEvent{cells: &cells, audit: &audit, a: 2 * i, b: 2*i + 1, inc: 1},
+			at:        1.5, log: &log,
+		})
+	}
+	e.ScheduleFunc(2, func(e *Engine) {
+		log = append(log, fmt.Sprintf("barrier@%v", e.Now()))
+	})
+	if deadline < 0 {
+		e.Run()
+	} else {
+		e.RunUntil(deadline)
+		log = append(log, fmt.Sprintf("stop@%v pending %d", e.Now(), e.Len()))
+	}
+	return log
+}
+
+// TestParallelCommitScheduleMatchesSerial pins the rule that the loop
+// re-reads the queue after every flush: events a CommitShard schedules
+// ahead of the barrier (or the RunUntil deadline) that ended the batch
+// must run before it, exactly as in the unbatched loop. A loop that
+// pops the barrier it peeked before flushing runs the barrier twice,
+// drops a follow-up and moves the clock backwards; one that stops at
+// the deadline it peeked leaves the follow-ups queued.
+func TestParallelCommitScheduleMatchesSerial(t *testing.T) {
+	for _, deadline := range []float64{-1, 1.7} {
+		want := runCommitSchedule(1, deadline)
+		if deadline < 0 && fmt.Sprint(want) != "[follow-up@1.5 follow-up@1.5 barrier@2]" {
+			t.Fatalf("serial log %q", want)
+		}
+		for _, workers := range []int{2, 4} {
+			if got := runCommitSchedule(workers, deadline); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("deadline %v workers %d: log %q, want %q", deadline, workers, got, want)
+			}
+		}
 	}
 }

@@ -75,15 +75,6 @@ func (c Contact) Capacity() int64 {
 	return c.Bytes
 }
 
-// AsMeeting converts a zero-duration contact to its Meeting form; ok is
-// false for windowed contacts, which have no point equivalent.
-func (c Contact) AsMeeting() (Meeting, bool) {
-	if c.Windowed() {
-		return Meeting{}, false
-	}
-	return Meeting{A: c.A, B: c.B, Time: c.Start, Bytes: c.Bytes}, true
-}
-
 // Schedule is a complete meeting schedule for one experiment (one
 // DieselNet day, or one synthetic-mobility run). Point meetings and
 // windowed contacts coexist: legacy generators fill Meetings only,
